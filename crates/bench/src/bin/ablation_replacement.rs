@@ -25,16 +25,10 @@ fn main() {
         opts.workloads.clone(),
     )
     .param("policies", "LRU,PLRU,FIFO,RAND");
-    let broker = opts.capture_broker();
-    let cell_broker = broker.clone();
+    let brokers = opts.brokers();
+    let cells = brokers.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::replacement_sweep(
-            w,
-            &match &cell_broker {
-                Some(b) => study.run_captured(b, w),
-                None => study.run(w),
-            },
-        )
+        results_json::replacement_sweep(w, &study.run(&cells.cell(), w))
     });
     for (w, curves) in report
         .payloads()
@@ -60,7 +54,7 @@ fn main() {
         "ablation_replacement",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        brokers.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

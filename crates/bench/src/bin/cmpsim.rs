@@ -13,7 +13,8 @@
 //! served from the content-addressed result cache when unchanged. Each
 //! cell captures its FSB stream once and replays it into every LLC size
 //! (`--trace-dir DIR` persists the streams content-addressed for later
-//! runs; `--no-replay` restores execute-per-configuration). Within each
+//! runs; `--no-replay` gives each cell its own in-memory broker, so no
+//! stream is shared between cells). Within each
 //! cell, `--replay-shards N` (default: follow `--jobs`, `0` = one per
 //! CPU) spreads the sweep's boards over N worker threads — output bytes
 //! are identical at any shard count.
@@ -30,7 +31,7 @@
 //! `--connect ADDR`) and renders byte-identical output from the
 //! streamed results; `status` prints the daemon's lifetime counters.
 
-use cmpsim_bench::{parse_scale, results_json};
+use cmpsim_bench::{parse_scale, results_json, stamp_capture_counters, CellBrokers};
 use cmpsim_core::cosim::{CoSimConfig, CoSimulation};
 use cmpsim_core::experiment::{CacheSizeStudy, CmpClass};
 use cmpsim_core::grid::{self, run_grid_supervised, GridSpec};
@@ -43,14 +44,13 @@ use cmpsim_core::tel::trace::{self as ftrace, FlightRecorder, TraceSummary};
 use cmpsim_core::tel::{
     chrome_trace, scrub_path, write_json_file, JsonValue, RunManifest, SpanProfiler,
 };
-use cmpsim_core::{telemetry, CaptureBroker, Scale, WorkloadId};
+use cmpsim_core::{telemetry, Scale, WorkloadId};
 use cmpsim_dragonhead::{Dragonhead, DragonheadConfig};
 use cmpsim_service::{AgentConfig, CellSpec, Coordinator, ServeConfig, Submission};
 use cmpsim_trace::file::{TraceReader, TraceWriter};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -278,10 +278,12 @@ fn cmd_run(args: &[String]) -> i32 {
     if cli.prefetch {
         cfg = cfg.with_prefetch(cmpsim_prefetch::StrideConfig::default());
     }
-    let wl = workload.build(cli.scale, cli.seed);
     let started = Instant::now();
     let mut spans = SpanProfiler::new();
-    let r = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+    spans.start("cosim");
+    let wl = spans.time("build", || workload.build(cli.scale, cli.seed));
+    let r = spans.time("simulate", || CoSimulation::new(cfg).run(wl.as_ref()));
+    spans.start("report");
     println!(
         "{workload} on {} cores, {} LLC ({}B lines), scale {}:",
         cli.cores,
@@ -296,10 +298,15 @@ fn cmd_run(args: &[String]) -> i32 {
     if cli.prefetch {
         println!("  prefetch fills: {}", r.prefetch_fills);
     }
-    if let Some(path) = cli.json_path("cmpsim_run") {
+    let doc = cli.json_path("cmpsim_run").map(|path| {
         let mut manifest = telemetry::manifest("cmpsim", &cfg, workload, cli.scale, cli.seed);
         manifest.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let doc = telemetry::telemetry_report(manifest, &r, spans);
+        (path, telemetry::telemetry_report(manifest, &r))
+    });
+    spans.end();
+    spans.end();
+    if let Some((path, mut doc)) = doc {
+        doc.spans = spans;
         if let Err(e) = doc.write_json(&path) {
             return fail(&format!("cannot write {}: {e}", path.display()));
         }
@@ -330,9 +337,9 @@ fn cmd_grid(args: &[String]) -> i32 {
         .param("line", 64);
     // In service-client mode the coordinator owns journalling, caching,
     // isolation, and the trace sidecar — locally there is nothing to
-    // record and no broker to count.
+    // record, and the brokers stay unused (their counters zero).
     let mut recorder = None;
-    let mut broker = None;
+    let brokers = CellBrokers::new(cli.no_replay, cli.trace_dir.as_deref());
     let report = if let Some(addr) = &cli.connect {
         match service_submit(&cli, addr, &spec, args) {
             Ok(report) => report,
@@ -372,13 +379,9 @@ fn cmd_grid(args: &[String]) -> i32 {
             ])
             .collect();
         let base = (cli.isolate == IsolateMode::Process).then_some(child_base.as_slice());
-        broker = capture_broker(&cli);
-        let cell_broker = broker.clone();
+        let cells = brokers.clone();
         run_grid_supervised(&spec, &runner, base, move |w| {
-            results_json::cache_size_curve(&match &cell_broker {
-                Some(b) => study.run_captured(b, w),
-                None => study.run(w),
-            })
+            results_json::cache_size_curve(&study.run(&cells.cell(), w))
         })
     };
     let curves: Vec<_> = report
@@ -444,18 +447,7 @@ fn cmd_grid(args: &[String]) -> i32 {
             manifest = manifest.config_entry("runner_interrupted", 1u64);
         }
         // Capture-pipeline counters, likewise only when nonzero.
-        if let Some(b) = &broker {
-            let t = b.counters();
-            if t.captures > 0 {
-                manifest = manifest.config_entry("trace_captures", t.captures);
-            }
-            if t.memory_reuses > 0 {
-                manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
-            }
-            if t.disk_loads > 0 {
-                manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
-            }
-        }
+        manifest = stamp_capture_counters(manifest, brokers.counters());
         let doc = JsonValue::object([
             ("manifest", manifest.to_json()),
             (
@@ -496,18 +488,6 @@ fn cmd_grid(args: &[String]) -> i32 {
         }
     }
     i32::from(report.failed_count() > 0)
-}
-
-/// The capture broker the grid flags describe: `None` under
-/// `--no-replay`, disk-backed under `--trace-dir`, in-memory otherwise.
-fn capture_broker(cli: &Cli) -> Option<Arc<CaptureBroker>> {
-    if cli.no_replay {
-        return None;
-    }
-    Some(Arc::new(match &cli.trace_dir {
-        Some(dir) => CaptureBroker::with_store(dir.clone()),
-        None => CaptureBroker::in_memory(),
-    }))
 }
 
 /// The journal configuration `grid` flags describe, or `None` when
@@ -787,12 +767,10 @@ fn cmd_child(args: &[String]) -> i32 {
     };
     cmpsim_core::set_replay_shards(cli.effective_replay_shards());
     let study = CacheSizeStudy::new(cli.scale, cmp, cli.seed);
+    let brokers = CellBrokers::new(cli.no_replay, cli.trace_dir.as_deref());
     let compute = || {
         Ok(results_json::cache_size_curve(
-            &match capture_broker(&cli) {
-                Some(b) => study.run_captured(&b, workload),
-                None => study.run(workload),
-            },
+            &study.run(&brokers.cell(), workload),
         ))
     };
     if child_trace_requested() {

@@ -17,13 +17,10 @@ fn main() {
     let spec = GridSpec::new("fig4_scmp", opts.scale, opts.seed, opts.workloads.clone())
         .param("cmp", CmpClass::Small)
         .param("line", 64);
-    let broker = opts.capture_broker();
-    let cell_broker = broker.clone();
+    let brokers = opts.brokers();
+    let cells = brokers.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::cache_size_curve(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::cache_size_curve(&study.run(&cells.cell(), w))
     });
     let curves: Vec<_> = report
         .payloads()
@@ -51,7 +48,7 @@ fn main() {
         "fig4_scmp",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        brokers.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

@@ -20,13 +20,10 @@ fn main() {
         opts.seed,
         opts.workloads.clone(),
     );
-    let broker = opts.capture_broker();
-    let cell_broker = broker.clone();
+    let brokers = opts.brokers();
+    let cells = brokers.clone();
     let report = run_grid(&opts, &spec, move |w| {
-        results_json::table2_row(&match &cell_broker {
-            Some(b) => study.run_captured(b, w),
-            None => study.run(w),
-        })
+        results_json::table2_row(&study.run(&cells.cell(), w))
     });
     let rows: Vec<_> = report
         .payloads()
@@ -41,7 +38,7 @@ fn main() {
         "table2_characteristics",
         JsonValue::Array(report.payloads().cloned().collect()),
         &report,
-        broker.map(|b| b.counters()),
+        brokers.counters(),
     );
     finish_grid(&opts, &spec, &report);
 }

@@ -32,10 +32,11 @@
 //! * `--trace-dir DIR` — persist captured FSB streams content-addressed
 //!   under `DIR`, so later runs (and other binaries sharing a platform
 //!   configuration) replay from disk instead of re-executing,
-//! * `--no-replay` — escape hatch: execute the co-simulation once per
-//!   grid cell, exactly as before capture-once/replay-many existed.
-//!   Output is byte-identical either way; this exists to measure the
-//!   speedup and to bisect any suspected replay divergence,
+//! * `--no-replay` — give every grid cell a fresh in-memory capture
+//!   broker instead of one shared by the whole run (and ignore
+//!   `--trace-dir`), so each cell executes the co-simulation for its
+//!   own streams. Output is byte-identical either way; this exists to
+//!   measure the sharing and to bisect a suspected divergence,
 //! * `--connect ADDR` — submit the grid to a running `cmpsim serve`
 //!   coordinator instead of executing locally: cells execute on the
 //!   daemon's worker fleet against its shared result cache, results
@@ -64,7 +65,7 @@ use cmpsim_service::{CellSpec, Submission};
 use cmpsim_telemetry::trace::{self as ftrace, FlightRecorder};
 use cmpsim_telemetry::{JsonValue, RunManifest};
 use cmpsim_workloads::{Scale, WorkloadId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,8 +104,8 @@ pub struct Options {
     /// On-disk trace store root for captured FSB streams; `None` keeps
     /// captures in memory only.
     pub trace_dir: Option<PathBuf>,
-    /// Disable capture-once/replay-many: execute the co-simulation for
-    /// every grid cell (the pre-replay behavior).
+    /// Share no captured stream between grid cells: each cell gets a
+    /// fresh in-memory broker (see [`CellBrokers`]).
     pub no_replay: bool,
     /// Worker threads sharding each cell's sweep replay across boards
     /// (`0` = one per CPU). `None` follows `--jobs`. Sharding never
@@ -335,18 +336,10 @@ impl Options {
         })
     }
 
-    /// The capture broker these options describe: `None` under
-    /// `--no-replay` (every cell executes the co-simulation itself),
-    /// disk-backed under `--trace-dir`, in-memory otherwise. Wrapped in
-    /// an [`Arc`] so grid-cell closures can share one broker.
-    pub fn capture_broker(&self) -> Option<Arc<CaptureBroker>> {
-        if self.no_replay {
-            return None;
-        }
-        Some(Arc::new(match &self.trace_dir {
-            Some(dir) => CaptureBroker::with_store(dir.clone()),
-            None => CaptureBroker::in_memory(),
-        }))
+    /// The capture brokers these options give grid cells (see
+    /// [`CellBrokers`]).
+    pub fn brokers(&self) -> CellBrokers {
+        CellBrokers::new(self.no_replay, self.trace_dir.as_deref())
     }
 
     /// The argv a supervised child uses to recompute one cell (minus the
@@ -450,11 +443,8 @@ impl Options {
     }
 
     /// Like [`emit_json_runner`](Options::emit_json_runner), but also
-    /// stamps the capture pipeline's counters into the manifest —
-    /// how many FSB streams were captured live, reused from memory, and
-    /// loaded from the `--trace-dir` store. Counters appear only when
-    /// nonzero, so `--no-replay` runs (which pass `None`) and runs where
-    /// nothing was captured produce the exact manifest they always did.
+    /// stamps the capture pipeline's counters into the manifest (see
+    /// [`stamp_capture_counters`]).
     pub fn emit_json_traced(
         &self,
         name: &str,
@@ -491,17 +481,7 @@ impl Options {
         if report.interrupted {
             manifest = manifest.config_entry("runner_interrupted", 1u64);
         }
-        if let Some(t) = trace {
-            if t.captures > 0 {
-                manifest = manifest.config_entry("trace_captures", t.captures);
-            }
-            if t.memory_reuses > 0 {
-                manifest = manifest.config_entry("trace_reuses", t.memory_reuses);
-            }
-            if t.disk_loads > 0 {
-                manifest = manifest.config_entry("trace_disk_loads", t.disk_loads);
-            }
-        }
+        manifest = stamp_capture_counters(manifest, trace);
         let doc = JsonValue::object([
             ("manifest", manifest.to_json()),
             ("results", results),
@@ -566,6 +546,69 @@ impl Options {
             }
         }
     }
+}
+
+/// Where grid cells get their capture broker.
+///
+/// By default every cell of a run shares one broker — disk-backed under
+/// `--trace-dir`, in memory otherwise — so a stream is captured at most
+/// once per run and replayed everywhere else. Under `--no-replay` there
+/// is no shared broker: each cell gets a fresh in-memory one, captures
+/// its own streams, and drops them when it finishes.
+#[derive(Debug, Clone)]
+pub struct CellBrokers {
+    shared: Option<Arc<CaptureBroker>>,
+}
+
+impl CellBrokers {
+    /// The brokers the `--no-replay` and `--trace-dir` flags describe.
+    pub fn new(no_replay: bool, trace_dir: Option<&Path>) -> Self {
+        let shared = (!no_replay).then(|| {
+            Arc::new(match trace_dir {
+                Some(dir) => CaptureBroker::with_store(dir),
+                None => CaptureBroker::in_memory(),
+            })
+        });
+        CellBrokers { shared }
+    }
+
+    /// The broker one grid cell runs against.
+    pub fn cell(&self) -> Arc<CaptureBroker> {
+        self.shared
+            .clone()
+            .unwrap_or_else(|| Arc::new(CaptureBroker::in_memory()))
+    }
+
+    /// The shared broker's counters; `None` under `--no-replay`, where
+    /// no broker outlives its cell.
+    pub fn counters(&self) -> Option<CaptureCounters> {
+        self.shared.as_ref().map(|b| b.counters())
+    }
+}
+
+/// Stamps the capture pipeline's counters into a run manifest: how many
+/// FSB streams were captured, reused from memory, loaded from the
+/// `--trace-dir` store, or failed to persist there. Each appears only
+/// when nonzero, so a `--no-replay` run (`None`) and a run that captured
+/// nothing produce the exact manifest they always did.
+pub fn stamp_capture_counters(
+    mut manifest: RunManifest,
+    counters: Option<CaptureCounters>,
+) -> RunManifest {
+    let Some(t) = counters else {
+        return manifest;
+    };
+    for (key, n) in [
+        ("trace_captures", t.captures),
+        ("trace_reuses", t.memory_reuses),
+        ("trace_disk_loads", t.disk_loads),
+        ("trace_store_failures", t.store_failures),
+    ] {
+        if n > 0 {
+            manifest = manifest.config_entry(key, n);
+        }
+    }
+    manifest
 }
 
 /// Runs `spec`'s grid with crash-safety wired up from `opts`: the
@@ -817,21 +860,51 @@ mod tests {
 
     #[test]
     fn capture_flags_parse() {
-        // Default: replay on, in-memory broker.
+        // Default: replay on, one in-memory broker shared by every cell.
         let o = parse(&[]).unwrap();
         assert_eq!(o.trace_dir, None);
         assert!(!o.no_replay);
-        let broker = o.capture_broker().expect("replay is the default");
-        assert!(broker.store().is_none());
-        // --trace-dir: disk-backed broker.
+        let brokers = o.brokers();
+        assert!(Arc::ptr_eq(&brokers.cell(), &brokers.cell()));
+        assert!(brokers.cell().store().is_none());
+        assert!(brokers.counters().is_some());
+        // --trace-dir: disk-backed shared broker.
         let o = parse(&["--trace-dir", "/tmp/t"]).unwrap();
         assert_eq!(o.trace_dir, Some(PathBuf::from("/tmp/t")));
-        assert!(o.capture_broker().unwrap().store().is_some());
-        // --no-replay: no broker at all.
+        assert!(o.brokers().cell().store().is_some());
+        // --no-replay: a fresh in-memory broker per cell, none shared.
         let o = parse(&["--no-replay", "--trace-dir", "/tmp/t"]).unwrap();
         assert!(o.no_replay);
-        assert!(o.capture_broker().is_none());
+        let brokers = o.brokers();
+        assert!(!Arc::ptr_eq(&brokers.cell(), &brokers.cell()));
+        assert!(brokers.cell().store().is_none());
+        assert!(brokers.counters().is_none());
         assert!(parse(&["--trace-dir"]).unwrap_err().contains("missing"));
+    }
+
+    #[test]
+    fn capture_counters_stamp_only_when_nonzero() {
+        let config = |m: &RunManifest| m.to_json().get("config").cloned();
+        let bare = RunManifest::new("x", "0");
+        let untouched = stamp_capture_counters(RunManifest::new("x", "0"), None);
+        assert_eq!(config(&untouched), config(&bare));
+        let zero =
+            stamp_capture_counters(RunManifest::new("x", "0"), Some(CaptureCounters::default()));
+        assert_eq!(config(&zero), config(&bare));
+        let m = stamp_capture_counters(
+            RunManifest::new("x", "0"),
+            Some(CaptureCounters {
+                captures: 2,
+                store_failures: 1,
+                ..CaptureCounters::default()
+            }),
+        );
+        assert_eq!(m.config_value("trace_captures").unwrap().as_u64(), Some(2));
+        assert_eq!(
+            m.config_value("trace_store_failures").unwrap().as_u64(),
+            Some(1)
+        );
+        assert!(m.config_value("trace_reuses").is_none());
     }
 
     #[test]

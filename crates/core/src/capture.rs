@@ -102,71 +102,6 @@ impl CapturedStream {
             .expect("captured stream has a valid trace header")
             .map(|t| t.expect("captured stream was verified at capture/load time"))
     }
-
-    /// Decodes the stream once into fixed-size transaction chunks of
-    /// `chunk_len` transactions (the last chunk may be shorter).
-    ///
-    /// Sharded sweep replay hands the result to every shard read-only:
-    /// one decode pass feeds any number of board groups, and because
-    /// the chunk boundaries depend only on the stream and `chunk_len`
-    /// — never on the shard count — every board sees identical batch
-    /// edges no matter how the sweep is partitioned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len` is zero, or on corrupt encoded bytes (see
-    /// [`iter`](CapturedStream::iter)).
-    pub fn decode_chunks(&self, chunk_len: usize) -> DecodedChunks {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        let mut chunks = Vec::with_capacity(
-            usize::try_from(self.transactions).unwrap_or(usize::MAX) / chunk_len + 1,
-        );
-        let mut cur = Vec::with_capacity(chunk_len);
-        for txn in self.iter() {
-            cur.push(txn);
-            if cur.len() == chunk_len {
-                chunks.push(std::mem::replace(&mut cur, Vec::with_capacity(chunk_len)));
-            }
-        }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-        DecodedChunks {
-            chunks,
-            transactions: self.transactions,
-        }
-    }
-}
-
-/// A captured stream decoded once into fixed-size transaction batches,
-/// shared read-only across replay shards (see
-/// [`CapturedStream::decode_chunks`]).
-#[derive(Debug, Clone)]
-pub struct DecodedChunks {
-    chunks: Vec<Vec<FsbTransaction>>,
-    transactions: u64,
-}
-
-impl DecodedChunks {
-    /// The batches, in stream order.
-    pub fn iter(&self) -> impl Iterator<Item = &[FsbTransaction]> + '_ {
-        self.chunks.iter().map(Vec::as_slice)
-    }
-
-    /// Number of batches.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Whether the stream decoded to zero transactions.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Total transactions across all batches.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
 }
 
 fn stats_to_json(s: &CacheStats) -> JsonValue {
@@ -438,6 +373,10 @@ pub struct CaptureCounters {
     pub memory_reuses: u64,
     /// Requests served by loading a stream from the on-disk store.
     pub disk_loads: u64,
+    /// Captures the attached on-disk store failed to persist. Each one
+    /// still served its process from memory; only the cross-process
+    /// shortcut was lost.
+    pub store_failures: u64,
 }
 
 /// One key's capture slot: the mutex serializes duplicate captures, the
@@ -462,6 +401,7 @@ pub struct CaptureBroker {
     captures: AtomicU64,
     memory_reuses: AtomicU64,
     disk_loads: AtomicU64,
+    store_failures: AtomicU64,
 }
 
 impl CaptureBroker {
@@ -517,8 +457,11 @@ impl CaptureBroker {
         let stream = Arc::new(capture());
         if let Some(store) = &self.store {
             // A failed store is non-fatal: the capture still serves this
-            // process, only the cross-process shortcut is lost.
-            let _ = store.store(key, &stream);
+            // process, only the cross-process shortcut is lost — so it
+            // is counted, not raised.
+            if store.store(key, &stream).is_err() {
+                self.store_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
         *guard = Some(Arc::clone(&stream));
         stream
@@ -530,6 +473,7 @@ impl CaptureBroker {
             captures: self.captures.load(Ordering::Relaxed),
             memory_reuses: self.memory_reuses.load(Ordering::Relaxed),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
+            store_failures: self.store_failures.load(Ordering::Relaxed),
         }
     }
 }
@@ -742,7 +686,7 @@ mod tests {
             CaptureCounters {
                 captures: 1,
                 memory_reuses: 2,
-                disk_loads: 0
+                ..CaptureCounters::default()
             }
         );
         // A different key captures independently.
@@ -768,14 +712,39 @@ mod tests {
         assert_eq!(
             broker.counters(),
             CaptureCounters {
-                captures: 0,
-                memory_reuses: 0,
-                disk_loads: 1
+                disk_loads: 1,
+                ..CaptureCounters::default()
             }
         );
         // Second ask in the same process is a memory reuse, not a re-load.
         broker.stream(&key, || panic!("must reuse, not capture"));
         assert_eq!(broker.counters().memory_reuses, 1);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_store_write_is_counted_and_the_capture_still_serves() {
+        // A regular file where the store root should be: every
+        // `create_dir_all` under it fails.
+        let root =
+            std::env::temp_dir().join(format!("cmpsim_broker_badroot_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::write(&root, b"not a directory").unwrap();
+        let broker = CaptureBroker::with_store(&root);
+        let key = JobKey::new("fsb-stream").field("workload", "RSEARCH");
+        let s = broker.stream(&key, || sample_capture(&key));
+        assert_eq!(s.transactions(), 100);
+        assert_eq!(
+            broker.counters(),
+            CaptureCounters {
+                captures: 1,
+                store_failures: 1,
+                ..CaptureCounters::default()
+            }
+        );
+        // The stream stays served from memory.
+        broker.stream(&key, || panic!("must reuse, not capture"));
+        assert_eq!(broker.counters().memory_reuses, 1);
+        let _ = std::fs::remove_file(&root);
     }
 }

@@ -11,7 +11,7 @@ use cmpsim_prefetch::StrideConfig;
 use cmpsim_runner::JobKey;
 use cmpsim_softsdv::{FsbListener, HostNoiseConfig, PlatformConfig, RunSummary, VirtualPlatform};
 use cmpsim_telemetry::trace as ftrace;
-use cmpsim_telemetry::{Labels, MetricRegistry, SpanProfiler};
+use cmpsim_telemetry::{Labels, MetricRegistry};
 use cmpsim_trace::file::TraceWriter;
 use cmpsim_trace::FsbTransaction;
 use cmpsim_workloads::{Scale, Workload, WorkloadId};
@@ -119,8 +119,11 @@ impl CoSimConfig {
         p
     }
 
-    fn dragonhead_config(&self) -> DragonheadConfig {
-        let mut d = DragonheadConfig::new(self.llc);
+    /// The board this configuration puts behind the bus, emulating
+    /// `llc` (sweeps vary only the LLC; banks, sampling and prefetch are
+    /// shared).
+    fn board(&self, llc: CacheConfig) -> DragonheadConfig {
+        let mut d = DragonheadConfig::new(llc);
         d.banks = self.banks;
         d.sample_period = self.sample_period;
         d.prefetch = self.prefetch;
@@ -177,38 +180,20 @@ impl CoSimReport {
 }
 
 /// A configured co-simulation, ready to run workloads.
+///
+/// Every result comes out of one pipeline: the platform's FSB stream is
+/// recorded ([`capture`](CoSimulation::capture)), then replayed into
+/// passive boards ([`replay_sweep_sharded`](CoSimulation::replay_sweep_sharded)).
+/// [`run`](CoSimulation::run) is that pipeline with a throwaway
+/// in-memory recording, and fault injection is an adapter on the
+/// decoded stream ([`replay_checked`](CoSimulation::replay_checked)).
 #[derive(Debug, Clone, Copy)]
 pub struct CoSimulation {
     cfg: CoSimConfig,
 }
 
-/// Adapter: a Dragonhead board listening on the platform's FSB.
-struct Snoop<'a>(&'a mut Dragonhead);
-
-impl FsbListener for Snoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        self.0.observe(txn);
-    }
-}
-
-/// Several boards on the same bus — the fast path for cache-size sweeps:
-/// one platform run feeds every LLC configuration under study, which is
-/// sound because the emulator is *passive* (it never affects the
-/// workload or the private caches).
-struct MultiSnoop<'a>(&'a mut [Dragonhead]);
-
-impl FsbListener for MultiSnoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        for dh in self.0.iter_mut() {
-            dh.observe(txn);
-        }
-    }
-}
-
 /// The tape deck: a listener that records the exact FSB stream in the
-/// compact trace encoding instead of (or before) emulating anything.
+/// compact trace encoding.
 struct Recorder {
     writer: TraceWriter<Vec<u8>>,
     /// Transactions whose address was not 64-byte aligned. The trace
@@ -233,36 +218,34 @@ impl FsbListener for Recorder {
     }
 }
 
-/// A board behind a faulty channel: every platform transaction passes
-/// through the injector, which may drop, duplicate, reorder, or corrupt
-/// it before the board sees anything.
-struct FaultSnoop<'a> {
-    dh: &'a mut Dragonhead,
+/// Passes every transaction of `stream` through `injector` — which may
+/// drop, duplicate, reorder, or corrupt it — and releases whatever the
+/// injector still holds back (e.g. the second half of a reorder swap)
+/// once the stream ends.
+fn injected<'a>(
+    stream: impl Iterator<Item = FsbTransaction> + 'a,
     injector: &'a mut dyn FaultInjector,
-    buf: Vec<FsbTransaction>,
-}
-
-impl FaultSnoop<'_> {
-    fn deliver(&mut self) {
-        for txn in self.buf.drain(..) {
-            self.dh.observe(&txn);
+) -> impl Iterator<Item = FsbTransaction> + 'a {
+    let mut stream = stream.fuse();
+    let mut buf = Vec::new();
+    let mut next = 0;
+    let mut finished = false;
+    std::iter::from_fn(move || loop {
+        if let Some(&txn) = buf.get(next) {
+            next += 1;
+            return Some(txn);
         }
-    }
-
-    /// Releases transactions the injector was still holding back (e.g.
-    /// the second half of a reorder swap) at end of stream.
-    fn drain_held(&mut self) {
-        self.injector.finish(&mut self.buf);
-        self.deliver();
-    }
-}
-
-impl FsbListener for FaultSnoop<'_> {
-    #[inline]
-    fn transaction(&mut self, txn: &FsbTransaction) {
-        self.injector.inject(txn, &mut self.buf);
-        self.deliver();
-    }
+        buf.clear();
+        next = 0;
+        match stream.next() {
+            Some(txn) => injector.inject(&txn, &mut buf),
+            None if !finished => {
+                finished = true;
+                injector.finish(&mut buf);
+            }
+            None => return None,
+        }
+    })
 }
 
 impl CoSimulation {
@@ -271,62 +254,14 @@ impl CoSimulation {
         CoSimulation { cfg }
     }
 
-    /// Runs `workload` to completion under this configuration.
+    /// Runs `workload` to completion under this configuration: its FSB
+    /// stream is recorded into memory, then replayed into this
+    /// configuration's board.
     pub fn run(&self, workload: &dyn Workload) -> CoSimReport {
-        let mut spans = SpanProfiler::new();
-        self.run_profiled(workload, &mut spans)
-    }
-
-    /// Like [`run`](CoSimulation::run), but records wall-clock spans for
-    /// the build/simulate/report stages into `spans`.
-    pub fn run_profiled(&self, workload: &dyn Workload, spans: &mut SpanProfiler) -> CoSimReport {
-        let _t = ftrace::span("cosim");
-        spans.start("cosim");
-        spans.start("build");
-        let tb = ftrace::span("build");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::new(self.cfg.dragonhead_config());
-        drop(tb);
-        spans.end();
-        spans.start("simulate");
-        let ts = ftrace::span("simulate");
-        let run = platform.run(&mut Snoop(&mut dh));
-        drop(ts);
-        spans.end();
-        spans.start("report");
-        let tr = ftrace::span("report");
-        dh.flush(run.cycles).expect("platform cycles are monotone");
-        let report = Self::report(run, &dh);
-        drop(tr);
-        spans.end();
-        spans.end();
-        report
-    }
-
-    /// Runs `workload` once while emulating every LLC in `llcs`
-    /// simultaneously (passive boards on one bus). Returns one report per
-    /// LLC, in order.
-    pub fn run_sweep(&self, workload: &dyn Workload, llcs: &[CacheConfig]) -> Vec<CoSimReport> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut boards: Vec<Dragonhead> = llcs
-            .iter()
-            .map(|&llc| {
-                let mut d = DragonheadConfig::new(llc);
-                d.banks = self.cfg.banks;
-                d.sample_period = self.cfg.sample_period;
-                d.prefetch = self.cfg.prefetch;
-                Dragonhead::new(d)
-            })
-            .collect();
-        let run = platform.run(&mut MultiSnoop(&mut boards));
-        for dh in &mut boards {
-            dh.flush(run.cycles).expect("platform cycles are monotone");
-        }
-        boards
-            .iter()
-            .map(|dh| Self::report(run.clone(), dh))
-            .collect()
+        // The key only labels the recording: an instance has no
+        // scale/seed identity, and the stream is never stored.
+        let key = JobKey::new("fsb-stream").field("workload", workload.id());
+        self.replay(&self.record(&key, workload))
     }
 
     /// The content-addressed identity of the FSB stream this
@@ -351,38 +286,25 @@ impl CoSimulation {
     /// Runs the platform once with a recording listener on the bus,
     /// returning the captured stream (no board is emulated).
     pub fn capture(&self, workload: WorkloadId, scale: Scale, seed: u64) -> CapturedStream {
-        let mut spans = SpanProfiler::new();
-        self.capture_profiled(workload, scale, seed, &mut spans)
+        let _t = ftrace::span("capture");
+        let wl = {
+            let _b = ftrace::span("build");
+            workload.build(scale, seed)
+        };
+        self.record(&self.stream_key(workload, scale, seed), wl.as_ref())
     }
 
-    /// Like [`capture`](CoSimulation::capture), with wall-clock spans
-    /// for the build/record/seal stages.
-    pub fn capture_profiled(
-        &self,
-        workload: WorkloadId,
-        scale: Scale,
-        seed: u64,
-        spans: &mut SpanProfiler,
-    ) -> CapturedStream {
-        let _t = ftrace::span("capture");
-        spans.start("capture");
-        spans.start("build");
-        let tb = ftrace::span("build");
-        let wl = workload.build(scale, seed);
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), wl.as_ref());
+    /// Records `workload`'s FSB stream under `key`.
+    fn record(&self, key: &JobKey, workload: &dyn Workload) -> CapturedStream {
         let mut rec = Recorder {
             writer: TraceWriter::new(Vec::new()).expect("writing a trace to memory cannot fail"),
             unaligned: 0,
         };
-        drop(tb);
-        spans.end();
-        spans.start("record");
-        let tr = ftrace::span("record");
-        let run = platform.run(&mut rec);
-        drop(tr);
-        spans.end();
-        spans.start("seal");
-        let tl = ftrace::span("seal");
+        let run = {
+            let _r = ftrace::span("record");
+            VirtualPlatform::new(self.cfg.platform_config(), workload).run(&mut rec)
+        };
+        let _s = ftrace::span("seal");
         assert_eq!(
             rec.writer.clamped(),
             0,
@@ -398,12 +320,7 @@ impl CoSimulation {
             .writer
             .finish()
             .expect("writing a trace to memory cannot fail");
-        let key = self.stream_key(workload, scale, seed);
-        let stream = CapturedStream::new(&key, bytes, transactions, run);
-        drop(tl);
-        spans.end();
-        spans.end();
-        stream
+        CapturedStream::new(key, bytes, transactions, run)
     }
 
     /// Returns the stream for `{workload, scale, seed}` via `broker`:
@@ -421,50 +338,15 @@ impl CoSimulation {
         })
     }
 
-    /// Replays a captured stream into this configuration's board,
-    /// producing a report bit-identical to [`run`](CoSimulation::run)
-    /// on the same `{workload, scale, seed}`.
+    /// Replays a captured stream into this configuration's board.
     pub fn replay(&self, stream: &CapturedStream) -> CoSimReport {
-        let mut spans = SpanProfiler::new();
-        self.replay_profiled(stream, &mut spans)
+        self.replay_sweep_sharded(stream, &[self.cfg.llc], 1)
+            .pop()
+            .expect("one board, one report")
     }
 
-    /// Like [`replay`](CoSimulation::replay), with wall-clock spans for
-    /// the build/simulate/report stages.
-    pub fn replay_profiled(
-        &self,
-        stream: &CapturedStream,
-        spans: &mut SpanProfiler,
-    ) -> CoSimReport {
-        let _t = ftrace::span("replay");
-        spans.start("replay");
-        spans.start("build");
-        let tb = ftrace::span("build");
-        let mut dh = Dragonhead::new(self.cfg.dragonhead_config());
-        drop(tb);
-        spans.end();
-        spans.start("simulate");
-        let ts = ftrace::span("simulate");
-        cmpsim_dragonhead::replay(
-            stream.iter(),
-            std::slice::from_mut(&mut dh),
-            stream.run().cycles,
-        )
-        .expect("captured platform cycles are monotone");
-        drop(ts);
-        spans.end();
-        spans.start("report");
-        let tr = ftrace::span("report");
-        let report = Self::report(stream.run().clone(), &dh);
-        drop(tr);
-        spans.end();
-        spans.end();
-        report
-    }
-
-    /// Replays a captured stream into one board per LLC in `llcs` —
-    /// the replay-side twin of [`run_sweep`](CoSimulation::run_sweep),
-    /// with the same report per configuration but no re-execution.
+    /// Replays a captured stream into one board per LLC in `llcs`,
+    /// returning one report per configuration, in order.
     ///
     /// Replay is sharded across worker threads per the process-wide
     /// [`replay_shards`] setting; use
@@ -478,17 +360,15 @@ impl CoSimulation {
     /// [`replay_sweep`](CoSimulation::replay_sweep) with an explicit
     /// shard count.
     ///
-    /// With `shards <= 1` the stream is decoded lazily and every board
-    /// is driven on the calling thread. With more, the stream is
-    /// decoded once into [`BATCH_TRANSACTIONS`]-sized chunks shared
-    /// read-only, the boards are split into `min(shards, boards)`
-    /// contiguous groups, and scoped worker threads drive one group
-    /// each, batch by batch. Either way each board observes the full
-    /// stream in order over fixed batch boundaries, and reports are
-    /// assembled in `llcs` order — so the shard count can never change
-    /// a byte of output (`tests/replay_equivalence.rs` pins this).
-    ///
-    /// [`BATCH_TRANSACTIONS`]: cmpsim_dragonhead::BATCH_TRANSACTIONS
+    /// The boards are split into `min(shards, boards)` contiguous
+    /// groups. Each group decodes the compact stream itself and drives
+    /// its boards over it batch by batch — on the calling thread when
+    /// there is one group, on scoped worker threads otherwise — so
+    /// memory does not grow with the shard count. Each board observes
+    /// the full stream in order over batch boundaries fixed by the
+    /// stream alone, and reports are assembled in `llcs` order, so the
+    /// shard count can never change a byte of output
+    /// (`tests/replay_equivalence.rs` pins this).
     pub fn replay_sweep_sharded(
         &self,
         stream: &CapturedStream,
@@ -498,112 +378,72 @@ impl CoSimulation {
         let _t = ftrace::span("replay");
         let mut boards: Vec<Dragonhead> = llcs
             .iter()
-            .map(|&llc| {
-                let mut d = DragonheadConfig::new(llc);
-                d.banks = self.cfg.banks;
-                d.sample_period = self.cfg.sample_period;
-                d.prefetch = self.cfg.prefetch;
-                Dragonhead::new(d)
-            })
+            .map(|&llc| Dragonhead::new(self.cfg.board(llc)))
             .collect();
         let final_cycle = stream.run().cycles;
-        let shards = shards.clamp(1, boards.len().max(1));
-        if shards <= 1 {
-            cmpsim_dragonhead::replay(stream.iter(), &mut boards, final_cycle)
+        let group_len = boards.len().div_ceil(shards.max(1)).max(1);
+        let groups: Vec<&mut [Dragonhead]> = boards.chunks_mut(group_len).collect();
+        // One group runs inline under the caller's tracing context,
+        // where `dragonhead::replay` opens the `board-replay` span
+        // itself. Worker threads have no context, so each shard opens
+        // its own on the captured lane (`Lane` clones share one
+        // buffer), parented under this `replay` span, so `cmpsim
+        // report` shows per-shard replay utilization.
+        let ctx = (groups.len() > 1).then(ftrace::snapshot).flatten();
+        cmpsim_runner::scoped_shards(groups, |shard, group: &mut [Dragonhead]| {
+            let _span = ctx.as_ref().map(|(lane, cell, parent)| {
+                let mut s = lane.begin("board-replay", cell, *parent);
+                s.arg("shard", shard as u64);
+                s.arg("boards", group.len() as u64);
+                s
+            });
+            cmpsim_dragonhead::replay(stream.iter(), group, final_cycle)
                 .expect("captured platform cycles are monotone");
-        } else {
-            let chunks = stream.decode_chunks(cmpsim_dragonhead::BATCH_TRANSACTIONS);
-            let ctx = ftrace::snapshot();
-            let group_len = boards.len().div_ceil(shards);
-            cmpsim_runner::scoped_shards(
-                boards.chunks_mut(group_len).collect(),
-                |shard, group: &mut [Dragonhead]| {
-                    // Each shard opens its own `board-replay` span on
-                    // the captured lane (`Lane` clones share one
-                    // buffer), parented under the sweep's `replay`
-                    // span, so `cmpsim report` shows per-shard replay
-                    // utilization.
-                    let _span = ctx.as_ref().map(|(lane, cell, parent)| {
-                        let mut s = lane.begin("board-replay", cell, *parent);
-                        s.arg("shard", shard as u64);
-                        s.arg("boards", group.len() as u64);
-                        s
-                    });
-                    cmpsim_dragonhead::replay_chunks(chunks.iter(), group, final_cycle)
-                        .expect("captured platform cycles are monotone");
-                },
-            );
-        }
+        });
         boards
             .iter()
             .map(|dh| Self::report(stream.run().clone(), dh))
             .collect()
     }
 
-    /// Like [`run`](CoSimulation::run), but every failure mode is a
-    /// structured [`CoSimError`] instead of a panic, and the finished
-    /// report is checked against the full invariant catalogue before it
-    /// is returned.
+    /// Replays `stream` into this configuration's board with `injector`
+    /// perturbing the decoded transactions on their way to it — the
+    /// chaos path. Every failure mode is a structured [`CoSimError`]
+    /// instead of a panic, and the finished report is checked against
+    /// the full invariant catalogue before it is returned.
+    ///
+    /// The platform itself is never faulted (the stream's
+    /// [`RunSummary`] is ground truth); only what the board *observes*
+    /// is. The returned report carries the injection census in
+    /// `metrics` (`faults_injected`, plus a per-`class` breakdown) next
+    /// to the board's own anomaly counters, so an unrecovered
+    /// corruption surfaces as a named invariant violation, never a
+    /// silently wrong figure. With [`NoFaults`](cmpsim_faults::NoFaults)
+    /// the report equals [`replay`](CoSimulation::replay)'s.
     ///
     /// # Errors
     ///
     /// [`CoSimError::Invariant`] for a bad cache geometry or a report
     /// that fails self-validation; [`CoSimError::Protocol`] if the
     /// sampler clock ran backwards.
-    pub fn run_checked(&self, workload: &dyn Workload) -> Result<CoSimReport, CoSimError> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::try_new(self.cfg.dragonhead_config())?;
-        let run = platform.run(&mut Snoop(&mut dh));
-        dh.flush(run.cycles)?;
-        let report = Self::report(run, &dh);
-        {
-            let _v = ftrace::span("validate");
-            Validator::new(self.cfg.sample_period).validate(&report)?;
-        }
-        Ok(report)
-    }
-
-    /// Runs `workload` with `injector` perturbing the FSB stream between
-    /// the platform and the board — the chaos path.
-    ///
-    /// The platform itself is never faulted (its [`RunSummary`] is
-    /// ground truth); only what the board *observes* is. The returned
-    /// report carries the injection census in `metrics`
-    /// (`faults_injected`, plus a per-`class` breakdown) next to the
-    /// board's own anomaly counters, and is validated like
-    /// [`run_checked`](CoSimulation::run_checked) so an unrecovered
-    /// corruption surfaces as a named invariant violation, never a
-    /// silently wrong figure.
-    ///
-    /// # Errors
-    ///
-    /// Same taxonomy as [`run_checked`](CoSimulation::run_checked).
-    pub fn run_with_faults(
+    pub fn replay_checked(
         &self,
-        workload: &dyn Workload,
+        stream: &CapturedStream,
         injector: &mut dyn FaultInjector,
     ) -> Result<CoSimReport, CoSimError> {
-        let _t = ftrace::span("cosim");
-        let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
-        let mut dh = Dragonhead::try_new(self.cfg.dragonhead_config())?;
-        let run = {
-            let mut snoop = FaultSnoop {
-                dh: &mut dh,
-                injector,
-                buf: Vec::new(),
-            };
-            let run = platform.run(&mut snoop);
-            snoop.drain_held();
-            run
-        };
-        dh.flush(run.cycles)?;
-        let mut report = Self::report(run, &dh);
-        let injected = injector.faults_injected();
-        if injected > 0 {
+        let _t = ftrace::span("replay");
+        let mut dh = Dragonhead::try_new(self.cfg.board(self.cfg.llc))?;
+        cmpsim_dragonhead::replay(
+            injected(stream.iter(), injector),
+            std::slice::from_mut(&mut dh),
+            stream.run().cycles,
+        )?;
+        let mut report = Self::report(stream.run().clone(), &dh);
+        let faults = injector.faults_injected();
+        if faults > 0 {
             report
                 .metrics
-                .count("faults_injected", &Labels::none(), injected);
+                .count("faults_injected", &Labels::none(), faults);
             for (class, v) in injector.fault_counters().by_class() {
                 if v > 0 {
                     let labels = Labels::none().with("class", class);
@@ -645,6 +485,54 @@ mod tests {
     use super::*;
     use cmpsim_workloads::{Scale, WorkloadId};
 
+    /// Several boards on the same live bus. Sound because the emulator
+    /// is *passive*: it never affects the workload or the private
+    /// caches.
+    struct MultiSnoop<'a>(&'a mut [Dragonhead]);
+
+    impl FsbListener for MultiSnoop<'_> {
+        #[inline]
+        fn transaction(&mut self, txn: &FsbTransaction) {
+            for dh in self.0.iter_mut() {
+                dh.observe(txn);
+            }
+        }
+    }
+
+    impl CoSimulation {
+        /// The live-snoop oracle: runs `workload` once with every board
+        /// in `boards` snooping the platform's bus directly — no
+        /// recording, no trace codec, no batching. The equivalence
+        /// tests below hold the stream pipeline to its reports.
+        fn run_sweep(
+            &self,
+            workload: &dyn Workload,
+            boards: &[DragonheadConfig],
+        ) -> Vec<CoSimReport> {
+            let mut platform = VirtualPlatform::new(self.cfg.platform_config(), workload);
+            let mut boards: Vec<Dragonhead> = boards.iter().map(|&b| Dragonhead::new(b)).collect();
+            let run = platform.run(&mut MultiSnoop(&mut boards));
+            for dh in &mut boards {
+                dh.flush(run.cycles).expect("platform cycles are monotone");
+            }
+            boards
+                .iter()
+                .map(|dh| Self::report(run.clone(), dh))
+                .collect()
+        }
+
+        /// [`run_sweep`](CoSimulation::run_sweep) over this
+        /// configuration's board for each LLC in `llcs`.
+        fn run_sweep_llcs(
+            &self,
+            workload: &dyn Workload,
+            llcs: &[CacheConfig],
+        ) -> Vec<CoSimReport> {
+            let boards: Vec<DragonheadConfig> = llcs.iter().map(|&l| self.cfg.board(l)).collect();
+            self.run_sweep(workload, &boards)
+        }
+    }
+
     #[test]
     fn single_run_produces_consistent_report() {
         let wl = WorkloadId::Plsa.build(Scale::tiny(), 1);
@@ -666,7 +554,7 @@ mod tests {
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
         let wl = WorkloadId::Viewtype.build(Scale::tiny(), 2);
-        let sweep = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &sizes);
+        let sweep = CoSimulation::new(cfg).run_sweep_llcs(wl.as_ref(), &sizes);
         let wl2 = WorkloadId::Viewtype.build(Scale::tiny(), 2);
         let single = CoSimulation::new(cfg.with_llc(sizes[1])).run(wl2.as_ref());
         assert_eq!(sweep[1].llc.misses, single.llc.misses);
@@ -684,7 +572,7 @@ mod tests {
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
         let wl = WorkloadId::SvmRfe.build(Scale::tiny(), 3);
-        let sweep = CoSimulation::new(cfg).run_sweep(wl.as_ref(), &sizes);
+        let sweep = CoSimulation::new(cfg).run_sweep_llcs(wl.as_ref(), &sizes);
         for w in sweep.windows(2) {
             assert!(
                 w[1].llc.misses as f64 <= w[0].llc.misses as f64 * 1.05,
@@ -700,8 +588,7 @@ mod tests {
         let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
         cfg.sample_period = 1000;
-        let mut spans = cmpsim_telemetry::SpanProfiler::new();
-        let r = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+        let r = CoSimulation::new(cfg).run(wl.as_ref());
         // The flush guarantees the series covers the end of the run.
         assert!(!r.samples.is_empty());
         assert_eq!(r.samples.last().unwrap().cycle, r.run.cycles);
@@ -710,11 +597,6 @@ mod tests {
         assert_eq!(r.metrics.counter_total("instructions"), r.run.instructions);
         assert_eq!(r.metrics.counter_total("llc_misses"), r.llc.misses);
         assert_eq!(r.metrics.counter_total("core_llc_accesses"), r.llc.accesses);
-        // Build/simulate/report stages were timed.
-        let names: Vec<&str> = spans.spans().iter().map(|s| s.name.as_str()).collect();
-        for stage in ["cosim", "build", "simulate", "report"] {
-            assert!(names.contains(&stage), "missing span {stage}");
-        }
     }
 
     #[test]
@@ -723,7 +605,7 @@ mod tests {
         cfg.sample_period = 1000;
         let sim = CoSimulation::new(cfg);
         let wl = WorkloadId::Plsa.build(Scale::tiny(), 1);
-        let live = sim.run(wl.as_ref());
+        let live = sim.run_sweep_llcs(wl.as_ref(), &[cfg.llc]).remove(0);
 
         let stream = sim.capture(WorkloadId::Plsa, Scale::tiny(), 1);
         assert_eq!(stream.run().instructions, live.run.instructions);
@@ -749,7 +631,7 @@ mod tests {
             .map(|&s| CacheConfig::lru(s, 64, 16).unwrap())
             .collect();
         let wl = WorkloadId::Viewtype.build(Scale::tiny(), 2);
-        let live = sim.run_sweep(wl.as_ref(), &sizes);
+        let live = sim.run_sweep_llcs(wl.as_ref(), &sizes);
         let stream = sim.capture(WorkloadId::Viewtype, Scale::tiny(), 2);
         let replayed = sim.replay_sweep(&stream, &sizes);
         assert_eq!(replayed.len(), live.len());
@@ -853,6 +735,53 @@ mod tests {
                 assert_eq!(s.metrics.to_json(), r.metrics.to_json());
             }
         }
+    }
+
+    #[test]
+    fn every_workload_replays_like_the_live_bus_at_any_shard_count() {
+        let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
+        cfg.sample_period = 1000;
+        let sim = CoSimulation::new(cfg);
+        let prefetching = CoSimulation::new(cfg.with_prefetch(StrideConfig::default()));
+        let small = CacheConfig::lru(1 << 18, 64, 16).unwrap();
+        let big = CacheConfig::lru(1 << 20, 64, 16).unwrap();
+        let wide = CacheConfig::lru(1 << 19, 128, 16).unwrap();
+        // Four boards on one live bus: two LRU sizes, a 128 B-line
+        // board, and a prefetch-on board. Replay reaches the same four
+        // through two sweeps, since the prefetcher is per configuration.
+        let boards = [
+            cfg.board(small),
+            cfg.board(big),
+            cfg.board(wide),
+            prefetching.cfg.board(small),
+        ];
+        for w in WorkloadId::all() {
+            let wl = w.build(Scale::tiny(), 3);
+            let live = sim.run_sweep(wl.as_ref(), &boards);
+            let stream = sim.capture(w, Scale::tiny(), 3);
+            assert_eq!(stream.run().instructions, live[0].run.instructions);
+            for shards in [1usize, 3] {
+                let mut replayed = sim.replay_sweep_sharded(&stream, &[small, big, wide], shards);
+                replayed.extend(prefetching.replay_sweep_sharded(&stream, &[small], shards));
+                assert_eq!(replayed.len(), live.len());
+                for (i, (r, l)) in replayed.iter().zip(&live).enumerate() {
+                    let tag = format!("{w}, {shards} shards, board {i}");
+                    assert_eq!(r.llc, l.llc, "{tag}: llc differs");
+                    assert_eq!(r.samples, l.samples, "{tag}: samples differ");
+                    assert_eq!(r.per_core_llc, l.per_core_llc, "{tag}: per-core");
+                    assert_eq!(r.mpki.to_bits(), l.mpki.to_bits(), "{tag}: mpki");
+                    assert_eq!(r.metrics.to_json(), l.metrics.to_json(), "{tag}: metrics");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_sweep_replays_nothing() {
+        let sim = CoSimulation::new(CoSimConfig::new(2, 1 << 20).unwrap());
+        let stream = sim.capture(WorkloadId::Plsa, Scale::tiny(), 1);
+        assert!(sim.replay_sweep_sharded(&stream, &[], 4).is_empty());
+        assert!(sim.replay_sweep_sharded(&stream, &[], 0).is_empty());
     }
 
     #[test]

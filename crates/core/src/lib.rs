@@ -11,7 +11,19 @@
 //! snoops every transaction, attributes it to a core, and emulates the
 //! configured shared LLC in real time.
 //!
-//! On top of the co-simulation sit the paper's experiments:
+//! Because the emulator is passive, everything it measures is a
+//! function of the FSB stream alone, and every result here comes out of
+//! one pipeline: **stream → boards → reports**. The platform's stream is
+//! captured once into the compact trace encoding
+//! ([`CoSimulation::capture`], shared through a [`CaptureBroker`] and
+//! optionally a [`TraceStore`]), then replayed into any number of boards
+//! ([`CoSimulation::replay_sweep_sharded`]). [`CoSimulation::run`] is
+//! the same pipeline with a throwaway in-memory recording, and fault
+//! injection is an adapter on the decoded stream
+//! ([`CoSimulation::replay_checked`], which always validates).
+//!
+//! On top of the co-simulation sit the paper's experiments, each taking
+//! the [`CaptureBroker`] its streams come from:
 //!
 //! * [`experiment::Table2Study`] — workload characterization (Table 2),
 //! * [`experiment::CacheSizeStudy`] — LLC MPKI vs size on 8/16/32-core
@@ -56,7 +68,7 @@ pub use cmpsim_telemetry as tel;
 pub use cmpsim_trace as trace;
 pub use cmpsim_workloads as workloads;
 
-pub use capture::{CaptureBroker, CaptureCounters, CapturedStream, DecodedChunks, TraceStore};
+pub use capture::{CaptureBroker, CaptureCounters, CapturedStream, TraceStore};
 pub use cmpsim_workloads::{Scale, WorkloadId};
 pub use cosim::{replay_shards, set_replay_shards, CoSimConfig, CoSimReport, CoSimulation};
 pub use error::CoSimError;

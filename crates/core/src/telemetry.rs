@@ -6,7 +6,7 @@
 //! a machine-readable JSON twin with the same provenance.
 
 use crate::cosim::{CoSimConfig, CoSimReport};
-use cmpsim_telemetry::{JsonValue, RunManifest, SpanProfiler, TelemetryReport};
+use cmpsim_telemetry::{JsonValue, RunManifest, TelemetryReport};
 use cmpsim_workloads::{Scale, WorkloadId};
 
 /// Builds a manifest for one run of `experiment`, recording the full
@@ -46,21 +46,17 @@ pub fn manifest(
     )
 }
 
-/// Assembles the full telemetry document for one co-simulated run: the
-/// manifest, the counter registry the report carries, the per-interval
-/// timeline derived from the 500 µs samples, and the stage spans.
-pub fn telemetry_report(
-    manifest: RunManifest,
-    report: &CoSimReport,
-    spans: SpanProfiler,
-) -> TelemetryReport {
+/// Assembles the telemetry document for one co-simulated run: the
+/// manifest, the counter registry the report carries, and the
+/// per-interval timeline derived from the 500 µs samples. The caller
+/// fills in the stage spans.
+pub fn telemetry_report(manifest: RunManifest, report: &CoSimReport) -> TelemetryReport {
     let mut t = TelemetryReport::new(manifest);
     t.metrics = report.metrics.clone();
     for s in &report.samples {
         t.timeline
             .push_cumulative(s.cycle, s.instructions, s.accesses, s.misses);
     }
-    t.spans = spans;
     t
 }
 
@@ -68,6 +64,7 @@ pub fn telemetry_report(
 mod tests {
     use super::*;
     use crate::cosim::CoSimulation;
+    use cmpsim_telemetry::SpanProfiler;
 
     #[test]
     fn manifest_records_full_config() {
@@ -87,9 +84,11 @@ mod tests {
         cfg.sample_period = 1000;
         let wl = WorkloadId::Fimi.build(Scale::tiny(), 7);
         let mut spans = SpanProfiler::new();
-        let report = CoSimulation::new(cfg).run_profiled(wl.as_ref(), &mut spans);
+        let report = spans.time("simulate", || CoSimulation::new(cfg).run(wl.as_ref()));
         let m = manifest("test", &cfg, WorkloadId::Fimi, Scale::tiny(), 7);
-        let doc = telemetry_report(m, &report, spans).to_json();
+        let mut doc = telemetry_report(m, &report);
+        doc.spans = spans;
+        let doc = doc.to_json();
         let intervals = doc.get("intervals").unwrap().as_array().unwrap();
         assert!(!intervals.is_empty());
         assert!(intervals[0].get("mpki").is_some());

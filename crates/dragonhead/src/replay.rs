@@ -71,42 +71,6 @@ where
     Ok(n)
 }
 
-/// Drives every board in `boards` over pre-decoded transaction batches
-/// (see `CapturedStream::decode_chunks` in `cmpsim-core`), then closes
-/// each board's sample series at `final_cycle`.
-///
-/// This is the shard entry point for parallel sweep replay: the chunks
-/// are decoded once and shared read-only, and each shard calls this
-/// with its own contiguous board group. Batch boundaries come from the
-/// chunking, not the grouping, so any shard count replays every board
-/// identically.
-///
-/// Returns the number of transactions replayed.
-///
-/// # Errors
-///
-/// As [`replay`]: the first [`SamplerError`] from a board flush, after
-/// every board has been flushed.
-pub fn replay_chunks<'a, I>(
-    chunks: I,
-    boards: &mut [Dragonhead],
-    final_cycle: u64,
-) -> Result<u64, SamplerError>
-where
-    I: IntoIterator<Item = &'a [FsbTransaction]>,
-{
-    let _t = ftrace::span("board-replay");
-    let mut n = 0u64;
-    for chunk in chunks {
-        for board in boards.iter_mut() {
-            board.observe_batch(chunk);
-        }
-        n += chunk.len() as u64;
-    }
-    flush_all(boards, final_cycle)?;
-    Ok(n)
-}
-
 /// Flushes every board at `final_cycle`, returning the first error —
 /// but only after attempting all of them. A mid-sweep flush failure
 /// must not leave later boards with their sample-series tails missing:
@@ -250,23 +214,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_chunks_matches_replay() {
+    fn board_groups_replayed_apart_match_one_group() {
+        // Sharded sweep replay splits the boards into groups that each
+        // walk the stream on their own; batch edges depend only on the
+        // stream, so the split must not change any board.
         let stream = sample_stream();
         let final_cycle = stream.last().unwrap().cycle + 100;
-        let sizes = [1u64 << 18, 1 << 20, 1 << 22];
+        let sizes = [1u64 << 18, 1 << 19, 1 << 20, 1 << 22];
 
-        let mut streamed: Vec<Dragonhead> = sizes.iter().map(|&s| board(s)).collect();
-        let n1 = replay(stream.iter().copied(), &mut streamed, final_cycle).unwrap();
+        let mut together: Vec<Dragonhead> = sizes.iter().map(|&s| board(s)).collect();
+        let n1 = replay(stream.iter().copied(), &mut together, final_cycle).unwrap();
 
-        let chunks: Vec<&[FsbTransaction]> = stream.chunks(BATCH_TRANSACTIONS).collect();
-        let mut chunked: Vec<Dragonhead> = sizes.iter().map(|&s| board(s)).collect();
-        let n2 = replay_chunks(chunks, &mut chunked, final_cycle).unwrap();
-
-        assert_eq!(n1, n2);
+        let mut apart: Vec<Dragonhead> = sizes.iter().map(|&s| board(s)).collect();
+        for group in apart.chunks_mut(3) {
+            let n2 = replay(stream.iter().copied(), group, final_cycle).unwrap();
+            assert_eq!(n1, n2);
+        }
         for i in 0..sizes.len() {
-            assert_eq!(streamed[i].stats(), chunked[i].stats(), "board {i}");
-            assert_eq!(streamed[i].samples(), chunked[i].samples(), "board {i}");
-            assert_eq!(streamed[i].per_core(), chunked[i].per_core(), "board {i}");
+            assert_eq!(together[i].stats(), apart[i].stats(), "board {i}");
+            assert_eq!(together[i].samples(), apart[i].samples(), "board {i}");
+            assert_eq!(together[i].per_core(), apart[i].per_core(), "board {i}");
         }
     }
 

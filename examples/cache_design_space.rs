@@ -12,7 +12,7 @@
 
 use cmpsim_core::experiment::{paper_cache_sizes, CacheSizeStudy, CmpClass};
 use cmpsim_core::report::{human_bytes, TextTable};
-use cmpsim_core::{Scale, WorkloadId};
+use cmpsim_core::{CaptureBroker, Scale, WorkloadId};
 
 fn scale_from_env() -> Scale {
     match std::env::var("CMPSIM_SCALE").as_deref() {
@@ -37,9 +37,11 @@ fn main() {
         std::iter::once("LLC size".to_owned())
             .chain(CmpClass::all().iter().map(|c| c.name().to_owned())),
     );
+    // Each CMP class is its own stream (core count is platform-side).
+    let broker = CaptureBroker::in_memory();
     let curves: Vec<_> = CmpClass::all()
         .iter()
-        .map(|&cmp| CacheSizeStudy::new(scale, cmp, 2007).run_with_sizes(workload, &sizes))
+        .map(|&cmp| CacheSizeStudy::new(scale, cmp, 2007).run_with_sizes(&broker, workload, &sizes))
         .collect();
     for (i, &size) in sizes.iter().enumerate() {
         table.row(

@@ -1,9 +1,10 @@
 //! Chaos suite: seeded fault-injection scenarios on the co-simulated
 //! bus.
 //!
-//! Every scenario perturbs the FSB stream between the virtual platform
-//! and the Dragonhead board through a deterministic [`SeededFaults`]
-//! plan, then requires one of exactly two endings:
+//! Every scenario captures the FSB stream once, then perturbs it on its
+//! way from the recording to the Dragonhead board through a
+//! deterministic [`SeededFaults`] plan, and requires one of exactly two
+//! endings:
 //!
 //! 1. **Recovery** — the run completes, the report passes the full
 //!    invariant catalogue, and the injection census plus the board's
@@ -23,11 +24,12 @@ fn config() -> CoSimConfig {
     cfg
 }
 
-/// Runs FIMI/tiny under `injector`, returning the outcome and the
-/// number of faults actually injected.
+/// Captures FIMI/tiny once, then replays it under `injector`,
+/// returning the outcome and the number of faults actually injected.
 fn scenario(injector: &mut SeededFaults) -> (Result<CoSimReport, CoSimError>, u64) {
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
-    let result = CoSimulation::new(config()).run_with_faults(wl.as_ref(), injector);
+    let sim = CoSimulation::new(config());
+    let stream = sim.capture(WorkloadId::Fimi, Scale::tiny(), 1);
+    let result = sim.replay_checked(&stream, injector);
     (result, injector.faults_injected())
 }
 
@@ -168,16 +170,12 @@ fn chaos_is_deterministic_per_seed() {
 
 #[test]
 fn fault_free_path_matches_the_clean_run_exactly() {
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
-    let clean = CoSimulation::new(config())
-        .run_checked(wl.as_ref())
-        .unwrap();
+    let sim = CoSimulation::new(config());
+    let stream = sim.capture(WorkloadId::Fimi, Scale::tiny(), 1);
+    let clean = sim.replay(&stream);
 
-    let wl = WorkloadId::Fimi.build(Scale::tiny(), 1);
     let mut none = NoFaults;
-    let faultless = CoSimulation::new(config())
-        .run_with_faults(wl.as_ref(), &mut none)
-        .unwrap();
+    let faultless = sim.replay_checked(&stream, &mut none).unwrap();
 
     assert_eq!(clean.llc.accesses, faultless.llc.accesses);
     assert_eq!(clean.llc.hits, faultless.llc.hits);
