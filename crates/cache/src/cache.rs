@@ -7,23 +7,6 @@ use crate::stats::CacheStats;
 /// Sentinel tag meaning "way is empty".
 const EMPTY: u64 = u64::MAX;
 
-/// Hints the host CPU to pull the cache line holding `p` into its own
-/// cache. A pure performance hint: no simulated state is read or
-/// written, so callers stay byte-identical with and without it.
-#[inline]
-pub(crate) fn host_prefetch<T>(p: &T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `prefetch` never dereferences architecturally; any
-    // address is allowed, and `p` is a valid reference besides.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-            std::ptr::from_ref(p).cast::<i8>(),
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 const FLAG_DIRTY: u8 = 1 << 0;
 /// The owning core may write this line silently (MESI E or M).
 const FLAG_WRITABLE: u8 = 1 << 1;
@@ -141,27 +124,6 @@ impl SetAssocCache {
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == line)
-    }
-
-    /// Hints the host CPU to pull `line`'s set metadata (tags, flags,
-    /// replacement state) into its own cache ahead of a future
-    /// [`access`](Self::access). The simulated caches are far larger
-    /// than the host's, so a demand access to a random set otherwise
-    /// stalls on host DRAM; replay loops issue this a few transactions
-    /// ahead to hide that latency. Touches no simulated state — results
-    /// are byte-identical with or without priming.
-    #[inline]
-    pub fn prime_host_cache(&self, line: u64) {
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        host_prefetch(&self.tags[base]);
-        if self.ways > 8 {
-            // Tags are 8 bytes; sets wider than 8 ways span a second
-            // 64-byte host line.
-            host_prefetch(&self.tags[base + 8]);
-        }
-        host_prefetch(&self.flags[base]);
-        self.repl.prime_host_cache(set, self.ways);
     }
 
     /// Performs a demand access (read if `write` is false, write

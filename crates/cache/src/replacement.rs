@@ -90,29 +90,6 @@ impl ReplacementState {
         }
     }
 
-    /// Host-cache prefetch hint for `set`'s replacement metadata; the
-    /// counterpart of [`SetAssocCache::prime_host_cache`]. Touches no
-    /// simulated state.
-    ///
-    /// [`SetAssocCache::prime_host_cache`]: crate::SetAssocCache::prime_host_cache
-    #[inline]
-    pub(crate) fn prime_host_cache(&self, set: usize, ways: usize) {
-        match self {
-            ReplacementState::Lru { last_use, .. } => {
-                let base = set * ways;
-                crate::cache::host_prefetch(&last_use[base]);
-                if ways > 8 {
-                    // 8-byte timestamps: wider sets span a second
-                    // 64-byte host line.
-                    crate::cache::host_prefetch(&last_use[base + 8]);
-                }
-            }
-            ReplacementState::TreePlru { bits } => crate::cache::host_prefetch(&bits[set]),
-            ReplacementState::Fifo { next } => crate::cache::host_prefetch(&next[set]),
-            ReplacementState::Random { .. } => {}
-        }
-    }
-
     /// Registers a hit on `way` in `set`.
     #[inline]
     pub(crate) fn touch(&mut self, set: usize, ways: usize, way: usize) {

@@ -38,7 +38,7 @@ use cmpsim_trace::FsbTransaction;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One captured co-simulation: the exact FSB transaction stream (in
 /// the compact on-disk trace encoding) plus the platform-side run
@@ -434,7 +434,10 @@ impl CaptureBroker {
             let mut slots = self.slots.lock().expect("capture broker slots poisoned");
             Arc::clone(slots.entry(key.canonical()).or_default())
         };
-        let mut guard = slot.lock().expect("capture slot poisoned");
+        // A capture that panicked poisoned the slot but never filled it
+        // (the slot is assigned only after `capture` returns), so the
+        // next asker takes the guard back and captures afresh.
+        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(stream) = guard.as_ref() {
             self.memory_reuses.fetch_add(1, Ordering::Relaxed);
             ftrace::instant("trace-reuse", Vec::new());
@@ -453,8 +456,8 @@ impl CaptureBroker {
                 return stream;
             }
         }
-        self.captures.fetch_add(1, Ordering::Relaxed);
         let stream = Arc::new(capture());
+        self.captures.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
             // A failed store is non-fatal: the capture still serves this
             // process, only the cross-process shortcut is lost — so it
@@ -693,6 +696,27 @@ mod tests {
         let other = JobKey::new("fsb-stream").field("workload", "SHOT");
         broker.stream(&other, || sample_capture(&other));
         assert_eq!(broker.counters().captures, 2);
+    }
+
+    #[test]
+    fn panicked_capture_leaves_the_slot_usable() {
+        let broker = CaptureBroker::in_memory();
+        let key = JobKey::new("fsb-stream").field("workload", "SNP");
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            broker.stream(&key, || panic!("platform failed mid-capture"))
+        }));
+        assert!(failed.is_err());
+        assert_eq!(broker.counters(), CaptureCounters::default());
+        // The retry captures again instead of tripping over the poison.
+        let s = broker.stream(&key, || sample_capture(&key));
+        assert_eq!(s.transactions(), 100);
+        assert_eq!(
+            broker.counters(),
+            CaptureCounters {
+                captures: 1,
+                ..CaptureCounters::default()
+            }
+        );
     }
 
     #[test]

@@ -10,13 +10,17 @@ use cmpsim_memsys::RunCounts;
 use cmpsim_prefetch::StrideConfig;
 use cmpsim_runner::JobKey;
 use cmpsim_softsdv::{FsbListener, HostNoiseConfig, PlatformConfig, RunSummary, VirtualPlatform};
-use cmpsim_telemetry::trace as ftrace;
+use cmpsim_telemetry::trace::{self as ftrace, Lane, OpenSpan};
 use cmpsim_telemetry::{Labels, MetricRegistry};
 use cmpsim_trace::file::TraceWriter;
 use cmpsim_trace::FsbTransaction;
 use cmpsim_workloads::{Scale, Workload, WorkloadId};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Process-wide sweep-replay shard count, default 1 (serial).
 ///
@@ -27,8 +31,8 @@ use std::sync::Arc;
 /// experiment constructor. Binaries set it once from `--replay-shards`.
 static REPLAY_SHARDS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the process-wide shard count used by
-/// [`CoSimulation::replay_sweep`]. Zero and one both mean serial.
+/// Sets the process-wide shard count used by [`CoSimulation::sweep`]
+/// and [`CoSimulation::replay_sweep`]. Zero and one both mean serial.
 pub fn set_replay_shards(shards: usize) {
     REPLAY_SHARDS.store(shards.max(1), Ordering::Relaxed);
 }
@@ -182,18 +186,85 @@ impl CoSimReport {
 /// A configured co-simulation, ready to run workloads.
 ///
 /// Every result comes out of one pipeline: the platform's FSB stream is
-/// recorded ([`capture`](CoSimulation::capture)), then replayed into
-/// passive boards ([`replay_sweep_sharded`](CoSimulation::replay_sweep_sharded)).
-/// [`run`](CoSimulation::run) is that pipeline with a throwaway
-/// in-memory recording, and fault injection is an adapter on the
-/// decoded stream ([`replay_checked`](CoSimulation::replay_checked)).
+/// recorded, and passive boards observe it batch by batch. When the
+/// stream has to be recorded, the boards watch it live, on their own
+/// threads, while the platform runs ([`sweep`](CoSimulation::sweep),
+/// [`run`](CoSimulation::run)); a stream recorded earlier is replayed
+/// into them ([`replay_sweep_sharded`](CoSimulation::replay_sweep_sharded)).
+/// Fault injection is an adapter on the decoded stream
+/// ([`replay_checked`](CoSimulation::replay_checked)).
 #[derive(Debug, Clone, Copy)]
 pub struct CoSimulation {
     cfg: CoSimConfig,
 }
 
+/// Batches out with the board groups at once: one their boards are
+/// observing and one queued behind it. With the one being recorded,
+/// a recording holds at most three batch buffers, whatever the number
+/// of groups.
+const IN_FLIGHT: usize = 2;
+
+/// How long either end of a feed polls for the other before it blocks.
+/// The recorder and a board group hand over a batch about once a
+/// millisecond. A thread that blocks on every handover lets the OS idle
+/// its CPU, and waking it costs about as long as a batch takes — the
+/// two sides then end up taking turns instead of running together. So a
+/// waiting end polls for a little longer than one batch, yielding to
+/// any other runnable thread, and only then blocks.
+const POLL: Duration = Duration::from_millis(2);
+
+/// Receives from `rx`, polling for up to [`POLL`] before blocking;
+/// `None` once the sender is gone.
+fn recv_polling<T>(rx: &Receiver<T>) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(v) => return Some(v),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() < POLL => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+        }
+    }
+}
+
+/// One recorded batch, shared by every board group watching the bus.
+type Batch = Arc<Vec<FsbTransaction>>;
+
+/// The recorder's end of one board group's batch channel.
+struct Feed {
+    /// Recorded batches, to the group.
+    full: SyncSender<Batch>,
+    /// The group's handles on observed batches, back in order.
+    done: Receiver<Batch>,
+}
+
+/// A batch a board group is observing. Dropping it, once the group's
+/// boards are done with it, hands the group's handle back to the
+/// recorder.
+struct Loaned<'a> {
+    batch: Option<Batch>,
+    home: &'a Sender<Batch>,
+}
+
+impl AsRef<[FsbTransaction]> for Loaned<'_> {
+    fn as_ref(&self) -> &[FsbTransaction] {
+        self.batch.as_ref().map_or(&[], |b| b.as_slice())
+    }
+}
+
+impl Drop for Loaned<'_> {
+    fn drop(&mut self) {
+        // After the recorder is done nobody takes handles back; the
+        // batch is then simply freed.
+        if let Some(batch) = self.batch.take() {
+            let _ = self.home.send(batch);
+        }
+    }
+}
+
 /// The tape deck: a listener that records the exact FSB stream in the
-/// compact trace encoding.
+/// compact trace encoding and hands it, batch by batch, to the board
+/// groups watching the bus.
 struct Recorder {
     writer: TraceWriter<Vec<u8>>,
     /// Transactions whose address was not 64-byte aligned. The trace
@@ -204,6 +275,76 @@ struct Recorder {
     /// turns a future regression into a loud capture-time failure
     /// instead of a subtly wrong replay.
     unaligned: u64,
+    /// One feed per watching board group; none for a plain capture.
+    feeds: Vec<Feed>,
+    /// The batch being recorded for `feeds`.
+    filling: Vec<FsbTransaction>,
+    /// Batches out with the groups, oldest first; at most [`IN_FLIGHT`].
+    out: VecDeque<Batch>,
+}
+
+impl Recorder {
+    fn new(feeds: Vec<Feed>) -> Self {
+        Recorder {
+            writer: TraceWriter::new(Vec::new()).expect("writing a trace to memory cannot fail"),
+            unaligned: 0,
+            feeds,
+            filling: Vec::new(),
+            out: VecDeque::with_capacity(IN_FLIGHT),
+        }
+    }
+
+    /// Sends the batch being recorded to every group and starts the
+    /// next one, in the oldest batch's buffer once [`IN_FLIGHT`] are out.
+    ///
+    /// A group that is gone has panicked. Every feed is then dropped, so
+    /// the other groups end too and the recording runs to completion
+    /// unwatched; the scope that joins the groups re-raises the panic.
+    fn ship(&mut self) {
+        let next = if self.out.len() < IN_FLIGHT {
+            Some(Vec::with_capacity(cmpsim_dragonhead::BATCH_TRANSACTIONS))
+        } else {
+            self.reclaim()
+        };
+        let Some(mut next) = next else {
+            return self.stop();
+        };
+        next.clear();
+        let batch = Arc::new(std::mem::replace(&mut self.filling, next));
+        if !self
+            .feeds
+            .iter()
+            .all(|feed| feed.full.send(Arc::clone(&batch)).is_ok())
+        {
+            return self.stop();
+        }
+        self.out.push_back(batch);
+    }
+
+    /// Waits until every group has handed back the oldest batch out and
+    /// returns its buffer; `None` if a group is gone. Groups observe and
+    /// hand back batches in order, so each group's next handle is on
+    /// the oldest batch.
+    fn reclaim(&mut self) -> Option<Vec<FsbTransaction>> {
+        let oldest = self.out.pop_front()?;
+        for feed in &self.feeds {
+            drop(recv_polling(&feed.done)?);
+        }
+        Arc::try_unwrap(oldest).ok()
+    }
+
+    fn stop(&mut self) {
+        self.feeds.clear();
+        self.out.clear();
+    }
+
+    /// Ships the last, partial batch and ends every group's stream.
+    fn close_feeds(&mut self) {
+        if !self.filling.is_empty() && !self.feeds.is_empty() {
+            self.ship();
+        }
+        self.stop();
+    }
 }
 
 impl FsbListener for Recorder {
@@ -215,7 +356,34 @@ impl FsbListener for Recorder {
         self.writer
             .write(txn)
             .expect("writing a trace to memory cannot fail");
+        if !self.feeds.is_empty() {
+            self.filling.push(*txn);
+            if self.filling.len() == cmpsim_dragonhead::BATCH_TRANSACTIONS {
+                self.ship();
+            }
+        }
     }
+}
+
+/// Splits `boards` into at most `shards` contiguous, equal groups (the
+/// last may be shorter).
+fn board_groups(boards: &mut [Dragonhead], shards: usize) -> std::slice::ChunksMut<'_, Dragonhead> {
+    let len = boards.len().div_ceil(shards.max(1)).max(1);
+    boards.chunks_mut(len)
+}
+
+/// The `board-replay` span of board group `shard` on a worker thread.
+/// Worker threads have no tracing context, so the span goes on the
+/// spawning thread's lane (`Lane` clones share one buffer), under the
+/// parent `ctx` was snapshotted at, so `cmpsim report` shows per-group
+/// replay time.
+fn shard_span(ctx: &Option<(Lane, String, u64)>, shard: usize, boards: usize) -> Option<OpenSpan> {
+    ctx.as_ref().map(|(lane, cell, parent)| {
+        let mut s = lane.begin("board-replay", cell, *parent);
+        s.arg("shard", shard as u64);
+        s.arg("boards", boards as u64);
+        s
+    })
 }
 
 /// Passes every transaction of `stream` through `injector` — which may
@@ -255,13 +423,17 @@ impl CoSimulation {
     }
 
     /// Runs `workload` to completion under this configuration: its FSB
-    /// stream is recorded into memory, then replayed into this
-    /// configuration's board.
+    /// stream is recorded into memory while this configuration's board
+    /// watches it on a thread of its own.
     pub fn run(&self, workload: &dyn Workload) -> CoSimReport {
         // The key only labels the recording: an instance has no
         // scale/seed identity, and the stream is never stored.
         let key = JobKey::new("fsb-stream").field("workload", workload.id());
-        self.replay(&self.record(&key, workload))
+        let mut boards = self.boards(&[self.cfg.llc]);
+        let (_, reports) = self.watch(&mut boards, 1, |feeds| self.record(&key, workload, feeds()));
+        reports
+            .and_then(|mut r| r.pop())
+            .expect("a recording feeds its board")
     }
 
     /// The content-addressed identity of the FSB stream this
@@ -286,23 +458,41 @@ impl CoSimulation {
     /// Runs the platform once with a recording listener on the bus,
     /// returning the captured stream (no board is emulated).
     pub fn capture(&self, workload: WorkloadId, scale: Scale, seed: u64) -> CapturedStream {
+        self.capture_fed(workload, scale, seed, &mut Vec::new)
+    }
+
+    /// [`capture`](CoSimulation::capture), with the board groups that
+    /// `feeds` starts watching the recording. `feeds` is called once
+    /// the workload is built, so the groups do not wait through the
+    /// build.
+    fn capture_fed(
+        &self,
+        workload: WorkloadId,
+        scale: Scale,
+        seed: u64,
+        feeds: &mut dyn FnMut() -> Vec<Feed>,
+    ) -> CapturedStream {
         let _t = ftrace::span("capture");
         let wl = {
             let _b = ftrace::span("build");
             workload.build(scale, seed)
         };
-        self.record(&self.stream_key(workload, scale, seed), wl.as_ref())
+        self.record(
+            &self.stream_key(workload, scale, seed),
+            wl.as_ref(),
+            feeds(),
+        )
     }
 
-    /// Records `workload`'s FSB stream under `key`.
-    fn record(&self, key: &JobKey, workload: &dyn Workload) -> CapturedStream {
-        let mut rec = Recorder {
-            writer: TraceWriter::new(Vec::new()).expect("writing a trace to memory cannot fail"),
-            unaligned: 0,
-        };
+    /// Records `workload`'s FSB stream under `key`, handing it batch by
+    /// batch to `feeds` as it goes.
+    fn record(&self, key: &JobKey, workload: &dyn Workload, feeds: Vec<Feed>) -> CapturedStream {
+        let mut rec = Recorder::new(feeds);
         let run = {
             let _r = ftrace::span("record");
-            VirtualPlatform::new(self.cfg.platform_config(), workload).run(&mut rec)
+            let run = VirtualPlatform::new(self.cfg.platform_config(), workload).run(&mut rec);
+            rec.close_feeds();
+            run
         };
         let _s = ftrace::span("seal");
         assert_eq!(
@@ -336,6 +526,118 @@ impl CoSimulation {
         broker.stream(&self.stream_key(workload, scale, seed), || {
             self.capture(workload, scale, seed)
         })
+    }
+
+    /// Runs `{workload, scale, seed}` into one board per LLC in `llcs`,
+    /// returning one report per configuration, in order.
+    ///
+    /// If `broker` already holds the stream (in memory or in its
+    /// on-disk store), this is
+    /// [`replay_sweep`](CoSimulation::replay_sweep). Otherwise the
+    /// calling thread records the stream while the boards, split into
+    /// `min(`[`replay_shards`]`, boards)` groups on scoped threads,
+    /// observe it batch by batch as it is recorded. Either way every
+    /// board sees the same transactions over the same batch edges, so
+    /// the reports are byte-identical.
+    pub fn sweep(
+        &self,
+        broker: &CaptureBroker,
+        workload: WorkloadId,
+        scale: Scale,
+        seed: u64,
+        llcs: &[CacheConfig],
+    ) -> Vec<CoSimReport> {
+        self.sweep_sharded(broker, workload, scale, seed, llcs, replay_shards())
+    }
+
+    /// [`sweep`](CoSimulation::sweep) with an explicit shard count.
+    fn sweep_sharded(
+        &self,
+        broker: &CaptureBroker,
+        workload: WorkloadId,
+        scale: Scale,
+        seed: u64,
+        llcs: &[CacheConfig],
+        shards: usize,
+    ) -> Vec<CoSimReport> {
+        let key = self.stream_key(workload, scale, seed);
+        let mut boards = self.boards(llcs);
+        let (stream, reports) = self.watch(&mut boards, shards, |feeds| {
+            broker.stream(&key, || self.capture_fed(workload, scale, seed, feeds))
+        });
+        reports.unwrap_or_else(|| self.replay_boards(&stream, boards, shards))
+    }
+
+    /// Runs `record` inside a thread scope. `record` gets a function
+    /// that splits `boards` into at most `shards` groups, starts one
+    /// scoped thread per group, and returns the feeds to record into;
+    /// each thread drives its boards over the batches of its feed.
+    ///
+    /// If `record` called that function, every group has observed the
+    /// whole stream once it returns; the boards are then flushed at the
+    /// stream's final cycle and their reports come back with the
+    /// stream. Otherwise the boards are untouched and no report comes
+    /// back.
+    ///
+    /// Nothing hangs on a failure. A panic in `record` drops the feeds,
+    /// which ends every group before the scope re-raises it. A group
+    /// that panics makes the recorder stop feeding; the recording runs
+    /// to completion, and then the group's panic is re-raised here.
+    fn watch<S: Borrow<CapturedStream>>(
+        &self,
+        boards: &mut [Dragonhead],
+        shards: usize,
+        record: impl FnOnce(&mut dyn FnMut() -> Vec<Feed>) -> S,
+    ) -> (S, Option<Vec<CoSimReport>>) {
+        let ctx = ftrace::snapshot();
+        let mut unwatched = Some(&mut *boards);
+        let (stream, replay_span) = std::thread::scope(|scope| {
+            let mut groups = Vec::new();
+            let stream = record(&mut || {
+                let boards = unwatched.take().expect("a stream is recorded once");
+                board_groups(boards, shards)
+                    .enumerate()
+                    .map(|(shard, group)| {
+                        let (full, batches) = sync_channel(IN_FLIGHT);
+                        let (home, done) = channel();
+                        let ctx = &ctx;
+                        groups.push(scope.spawn(move || {
+                            let _span = shard_span(ctx, shard, group.len());
+                            let loaned =
+                                std::iter::from_fn(|| recv_polling(&batches)).map(|batch| Loaned {
+                                    batch: Some(batch),
+                                    home: &home,
+                                });
+                            cmpsim_dragonhead::observe_batches(loaned, group)
+                        }));
+                        Feed { full, done }
+                    })
+                    .collect()
+            });
+            // What is left once the stream is sealed — the groups'
+            // tail, the flush, the reports — is this sweep's replay.
+            let replay = unwatched.is_none().then(|| ftrace::span("replay"));
+            // A group's panic comes first: it is why the others were cut
+            // off. If one panicked, the scope joins the rest.
+            let observed = groups
+                .into_iter()
+                .map(|group| group.join())
+                .collect::<Result<Vec<u64>, _>>()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            let transactions = stream.borrow().transactions();
+            assert!(
+                observed.iter().all(|&n| n == transactions),
+                "a board group missed part of the stream it watched"
+            );
+            (stream, replay)
+        });
+        let Some(_replay) = replay_span else {
+            return (stream, None);
+        };
+        let run = stream.borrow().run();
+        cmpsim_dragonhead::flush_all(boards, run.cycles).expect("platform cycles are monotone");
+        let reports = Self::reports(run, boards);
+        (stream, Some(reports))
     }
 
     /// Replays a captured stream into this configuration's board.
@@ -375,34 +677,43 @@ impl CoSimulation {
         llcs: &[CacheConfig],
         shards: usize,
     ) -> Vec<CoSimReport> {
-        let _t = ftrace::span("replay");
-        let mut boards: Vec<Dragonhead> = llcs
-            .iter()
+        self.replay_boards(stream, self.boards(llcs), shards)
+    }
+
+    /// One fresh board per LLC in `llcs`.
+    fn boards(&self, llcs: &[CacheConfig]) -> Vec<Dragonhead> {
+        llcs.iter()
             .map(|&llc| Dragonhead::new(self.cfg.board(llc)))
-            .collect();
+            .collect()
+    }
+
+    /// The body of [`replay_sweep_sharded`](CoSimulation::replay_sweep_sharded),
+    /// over boards built by the caller.
+    fn replay_boards(
+        &self,
+        stream: &CapturedStream,
+        mut boards: Vec<Dragonhead>,
+        shards: usize,
+    ) -> Vec<CoSimReport> {
+        let _t = ftrace::span("replay");
         let final_cycle = stream.run().cycles;
-        let group_len = boards.len().div_ceil(shards.max(1)).max(1);
-        let groups: Vec<&mut [Dragonhead]> = boards.chunks_mut(group_len).collect();
+        let groups: Vec<&mut [Dragonhead]> = board_groups(&mut boards, shards).collect();
         // One group runs inline under the caller's tracing context,
         // where `dragonhead::replay` opens the `board-replay` span
-        // itself. Worker threads have no context, so each shard opens
-        // its own on the captured lane (`Lane` clones share one
-        // buffer), parented under this `replay` span, so `cmpsim
-        // report` shows per-shard replay utilization.
+        // itself; worker threads open their own.
         let ctx = (groups.len() > 1).then(ftrace::snapshot).flatten();
         cmpsim_runner::scoped_shards(groups, |shard, group: &mut [Dragonhead]| {
-            let _span = ctx.as_ref().map(|(lane, cell, parent)| {
-                let mut s = lane.begin("board-replay", cell, *parent);
-                s.arg("shard", shard as u64);
-                s.arg("boards", group.len() as u64);
-                s
-            });
+            let _span = shard_span(&ctx, shard, group.len());
             cmpsim_dragonhead::replay(stream.iter(), group, final_cycle)
                 .expect("captured platform cycles are monotone");
         });
+        Self::reports(stream.run(), &boards)
+    }
+
+    fn reports(run: &RunSummary, boards: &[Dragonhead]) -> Vec<CoSimReport> {
         boards
             .iter()
-            .map(|dh| Self::report(stream.run().clone(), dh))
+            .map(|dh| Self::report(run.clone(), dh))
             .collect()
     }
 
@@ -737,6 +1048,19 @@ mod tests {
         }
     }
 
+    /// Asserts that `got` reproduces the live oracle `live` exactly.
+    fn assert_matches_live(got: &[CoSimReport], live: &[CoSimReport], tag: &str) {
+        assert_eq!(got.len(), live.len(), "{tag}: report count");
+        for (i, (r, l)) in got.iter().zip(live).enumerate() {
+            let tag = format!("{tag}, board {i}");
+            assert_eq!(r.llc, l.llc, "{tag}: llc differs");
+            assert_eq!(r.samples, l.samples, "{tag}: samples differ");
+            assert_eq!(r.per_core_llc, l.per_core_llc, "{tag}: per-core");
+            assert_eq!(r.mpki.to_bits(), l.mpki.to_bits(), "{tag}: mpki");
+            assert_eq!(r.metrics.to_json(), l.metrics.to_json(), "{tag}: metrics");
+        }
+    }
+
     #[test]
     fn every_workload_replays_like_the_live_bus_at_any_shard_count() {
         let mut cfg = CoSimConfig::new(2, 1 << 20).unwrap();
@@ -747,33 +1071,178 @@ mod tests {
         let big = CacheConfig::lru(1 << 20, 64, 16).unwrap();
         let wide = CacheConfig::lru(1 << 19, 128, 16).unwrap();
         // Four boards on one live bus: two LRU sizes, a 128 B-line
-        // board, and a prefetch-on board. Replay reaches the same four
-        // through two sweeps, since the prefetcher is per configuration.
+        // board, and a prefetch-on board. The pipeline reaches the same
+        // four through two sweeps, since the prefetcher is per
+        // configuration.
         let boards = [
             cfg.board(small),
             cfg.board(big),
             cfg.board(wide),
             prefetching.cfg.board(small),
         ];
+        let (scale, seed) = (Scale::tiny(), 3);
+        let root = std::env::temp_dir().join(format!("cmpsim_cosim_sweep_{}", std::process::id()));
         for w in WorkloadId::all() {
-            let wl = w.build(Scale::tiny(), 3);
+            let wl = w.build(scale, seed);
             let live = sim.run_sweep(wl.as_ref(), &boards);
-            let stream = sim.capture(w, Scale::tiny(), 3);
+            let stream = sim.capture(w, scale, seed);
             assert_eq!(stream.run().instructions, live[0].run.instructions);
+            let key = sim.stream_key(w, scale, seed);
             for shards in [1usize, 3] {
-                let mut replayed = sim.replay_sweep_sharded(&stream, &[small, big, wide], shards);
-                replayed.extend(prefetching.replay_sweep_sharded(&stream, &[small], shards));
-                assert_eq!(replayed.len(), live.len());
-                for (i, (r, l)) in replayed.iter().zip(&live).enumerate() {
-                    let tag = format!("{w}, {shards} shards, board {i}");
-                    assert_eq!(r.llc, l.llc, "{tag}: llc differs");
-                    assert_eq!(r.samples, l.samples, "{tag}: samples differ");
-                    assert_eq!(r.per_core_llc, l.per_core_llc, "{tag}: per-core");
-                    assert_eq!(r.mpki.to_bits(), l.mpki.to_bits(), "{tag}: mpki");
-                    assert_eq!(r.metrics.to_json(), l.metrics.to_json(), "{tag}: metrics");
-                }
+                let replayed = {
+                    let mut r = sim.replay_sweep_sharded(&stream, &[small, big, wide], shards);
+                    r.extend(prefetching.replay_sweep_sharded(&stream, &[small], shards));
+                    r
+                };
+                assert_matches_live(&replayed, &live, &format!("{w}, {shards} shards, replay"));
+
+                // `plain` feeds the three plain boards, `pf` the
+                // prefetching one; each is its own broker, so on the
+                // first call both sweeps record with their boards
+                // watching.
+                let sweep = |plain: &CaptureBroker, pf: &CaptureBroker| {
+                    let mut r =
+                        sim.sweep_sharded(plain, w, scale, seed, &[small, big, wide], shards);
+                    r.extend(prefetching.sweep_sharded(pf, w, scale, seed, &[small], shards));
+                    r
+                };
+                let tag = |path: &str| format!("{w}, {shards} shards, {path}");
+                let (plain, pf) = (CaptureBroker::in_memory(), CaptureBroker::in_memory());
+                assert_matches_live(&sweep(&plain, &pf), &live, &tag("cold"));
+                assert_eq!((plain.counters().captures, pf.counters().captures), (1, 1));
+                assert_matches_live(&sweep(&plain, &pf), &live, &tag("memory reuse"));
+                assert_eq!(plain.counters().memory_reuses, 1);
+                assert_eq!(pf.counters().memory_reuses, 1);
+                let kept = plain.stream(&key, || panic!("must reuse, not capture"));
+                assert_eq!(
+                    kept.encoded_bytes(),
+                    stream.encoded_bytes(),
+                    "{w}: cold bytes"
+                );
+
+                // A cold store-backed sweep fills the store while its
+                // boards watch; a fresh broker over it then loads.
+                let _ = std::fs::remove_dir_all(&root);
+                let filling = CaptureBroker::with_store(&root);
+                assert_matches_live(&sweep(&filling, &filling), &live, &tag("store fill"));
+                let store = filling.store().unwrap();
+                assert_eq!(store.len(), 1, "{w}: the cold sweep stored its stream");
+                let stored = store.load(&key).expect("stored entry loads");
+                assert_eq!(
+                    stored.encoded_bytes(),
+                    stream.encoded_bytes(),
+                    "{w}: stored bytes"
+                );
+                let loading = CaptureBroker::with_store(&root);
+                assert_matches_live(&sweep(&loading, &loading), &live, &tag("disk load"));
+                assert_eq!(
+                    (loading.counters().captures, loading.counters().disk_loads),
+                    (0, 1)
+                );
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A workload whose kernels panic after `steps` steps each.
+    #[derive(Debug)]
+    struct Doomed {
+        inner: Box<dyn Workload>,
+        steps: u32,
+    }
+
+    #[derive(Debug)]
+    struct DoomedKernel {
+        inner: Box<dyn cmpsim_workloads::ThreadKernel>,
+        left: u32,
+    }
+
+    impl cmpsim_workloads::ThreadKernel for DoomedKernel {
+        fn step(&mut self, t: &mut cmpsim_workloads::KernelTracer<'_>) -> bool {
+            assert!(self.left > 0, "kernel failed mid-run");
+            self.left -= 1;
+            self.inner.step(t)
+        }
+    }
+
+    impl Workload for Doomed {
+        fn id(&self) -> WorkloadId {
+            self.inner.id()
+        }
+        fn make_threads(&self, threads: usize) -> Vec<Box<dyn cmpsim_workloads::ThreadKernel>> {
+            self.inner
+                .make_threads(threads)
+                .into_iter()
+                .map(|inner| {
+                    Box::new(DoomedKernel {
+                        inner,
+                        left: self.steps,
+                    }) as Box<dyn cmpsim_workloads::ThreadKernel>
+                })
+                .collect()
+        }
+        fn footprint(&self) -> u64 {
+            self.inner.footprint()
+        }
+        fn dataset(&self) -> cmpsim_workloads::DatasetSpec {
+            self.inner.dataset()
+        }
+    }
+
+    #[test]
+    fn a_platform_panic_while_boards_watch_surfaces_without_hanging() {
+        let sim = CoSimulation::new(CoSimConfig::new(2, 1 << 20).unwrap());
+        // Tiny MDS on two cores puts ~51 k transactions on the bus;
+        // five steps per kernel are about half of them, so several
+        // batches already went to the board thread.
+        let doomed = Doomed {
+            inner: WorkloadId::Mds.build(Scale::tiny(), 1),
+            steps: 5,
+        };
+        let (done, outcome) = channel();
+        std::thread::spawn(move || {
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run(&doomed)));
+            let message = result.err().and_then(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            });
+            let _ = done.send(message);
+        });
+        let message = outcome
+            .recv_timeout(Duration::from_secs(120))
+            .expect("run deadlocked after the platform panicked");
+        assert_eq!(message.as_deref(), Some("kernel failed mid-run"));
+    }
+
+    #[test]
+    fn a_recorder_stops_feeding_once_its_group_is_gone() {
+        let txn = |i: u64| {
+            FsbTransaction::new(
+                i,
+                cmpsim_trace::FsbKind::ReadLine,
+                cmpsim_trace::Addr::new(64 * i),
+            )
+        };
+        let (full, batches) = sync_channel(IN_FLIGHT);
+        let (home, done) = channel();
+        let mut rec = Recorder::new(vec![Feed { full, done }]);
+        let batch = cmpsim_dragonhead::BATCH_TRANSACTIONS as u64;
+        for i in 0..2 * batch {
+            rec.transaction(&txn(i));
+        }
+        assert_eq!(rec.out.len(), IN_FLIGHT, "both batches went out");
+        // The group dies holding both: the third batch can neither
+        // reclaim a buffer nor be sent.
+        drop((batches, home));
+        for i in 2 * batch..3 * batch {
+            rec.transaction(&txn(i));
+        }
+        assert!(rec.feeds.is_empty(), "a gone group must cut the feeds");
+        // Recording carries on unwatched.
+        rec.transaction(&txn(3 * batch));
+        assert_eq!(rec.writer.count(), 3 * batch + 1);
     }
 
     #[test]

@@ -194,9 +194,7 @@ impl CacheSizeStudy {
             .iter()
             .map(|&s| CacheConfig::lru(s, 64, 16).expect("paper sizes are valid"))
             .collect();
-        let sim = CoSimulation::new(cfg);
-        let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let reports = sim.replay_sweep(&stream, &llcs);
+        let reports = CoSimulation::new(cfg).sweep(broker, workload, self.scale, self.seed, &llcs);
         CacheSizeCurve {
             workload,
             cmp: self.cmp,
@@ -284,9 +282,7 @@ impl LineSizeStudy {
             .iter()
             .map(|&line| llc_config(size, line, 16).expect("paper line sizes clamp to valid"))
             .collect();
-        let sim = CoSimulation::new(cfg);
-        let stream = sim.captured(broker, workload, self.scale, self.seed);
-        let reports = sim.replay_sweep(&stream, &llcs);
+        let reports = CoSimulation::new(cfg).sweep(broker, workload, self.scale, self.seed, &llcs);
         Self::curve_of(workload, &reports)
     }
 
@@ -550,9 +546,8 @@ impl SharingStudy {
         // Normalize by instructions: MPKI ratio.
         let mpki = |threads: usize| {
             let cfg = CoSimConfig::scaled(threads, llc, self.scale).expect("valid geometry");
-            let sim = CoSimulation::new(cfg);
-            let stream = sim.captured(broker, workload, self.scale, self.seed);
-            sim.replay(&stream).mpki
+            CoSimulation::new(cfg).sweep(broker, workload, self.scale, self.seed, &[cfg.llc])[0]
+                .mpki
         };
         Self::result_of(workload, mpki(1), mpki(8))
     }
@@ -661,8 +656,8 @@ impl ProjectionStudy {
             .map(|&n| {
                 let cfg = CoSimConfig::scaled(n, llc, self.scale).expect("valid geometry");
                 let sim = CoSimulation::new(cfg);
-                let stream = sim.captured(broker, workload, self.scale, self.seed);
-                (n, sim.replay(&stream).mpki)
+                let mpki = sim.sweep(broker, workload, self.scale, self.seed, &[cfg.llc])[0].mpki;
+                (n, mpki)
             })
             .collect()
     }
@@ -850,9 +845,10 @@ impl PhaseStudy {
     /// Runs one workload to completion and returns its MPKI-over-time
     /// series. The sampler runs during replay (sampling is board-side).
     pub fn run(&self, broker: &CaptureBroker, workload: WorkloadId) -> Vec<PhasePoint> {
-        let sim = CoSimulation::new(self.config());
-        let stream = sim.captured(broker, workload, self.scale, self.seed);
-        Self::series_of(&sim.replay(&stream).samples)
+        let cfg = self.config();
+        let reports =
+            CoSimulation::new(cfg).sweep(broker, workload, self.scale, self.seed, &[cfg.llc]);
+        Self::series_of(&reports[0].samples)
     }
 
     fn series_of(samples: &[Sample]) -> Vec<PhasePoint> {

@@ -16,11 +16,13 @@
 //! one pipeline: **stream → boards → reports**. The platform's stream is
 //! captured once into the compact trace encoding
 //! ([`CoSimulation::capture`], shared through a [`CaptureBroker`] and
-//! optionally a [`TraceStore`]), then replayed into any number of boards
-//! ([`CoSimulation::replay_sweep_sharded`]). [`CoSimulation::run`] is
-//! the same pipeline with a throwaway in-memory recording, and fault
-//! injection is an adapter on the decoded stream
-//! ([`CoSimulation::replay_checked`], which always validates).
+//! optionally a [`TraceStore`]) and observed by any number of boards.
+//! [`CoSimulation::sweep`] lets its boards watch the stream while it is
+//! recorded, as the paper's board snooped the live bus, and replays it
+//! ([`CoSimulation::replay_sweep_sharded`]) when the broker already has
+//! it. [`CoSimulation::run`] is the same pipeline with a throwaway
+//! in-memory recording, and fault injection is an adapter on the decoded
+//! stream ([`CoSimulation::replay_checked`], which always validates).
 //!
 //! On top of the co-simulation sit the paper's experiments, each taking
 //! the [`CaptureBroker`] its streams come from:

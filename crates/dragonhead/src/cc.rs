@@ -82,16 +82,6 @@ impl BankedCache {
         }
     }
 
-    /// Hints the host CPU to pull `line`'s set metadata into its own
-    /// cache ahead of a future [`access_line`](Self::access_line). A
-    /// pure host-side prefetch: no simulated state changes, so replay
-    /// output is byte-identical with or without it.
-    #[inline]
-    pub fn prime_host_cache(&self, line: u64) {
-        let (bank, bank_line) = self.route(line);
-        self.banks[bank].prime_host_cache(bank_line);
-    }
-
     /// Demand access to the line containing `addr`.
     pub fn access_addr(&mut self, addr: cmpsim_trace::Addr, write: bool) -> bool {
         let line = addr.line(self.line_bytes);

@@ -131,17 +131,7 @@ impl Dragonhead {
     /// transaction.
     pub fn observe_batch(&mut self, batch: &[FsbTransaction]) {
         let line_shift = self.cfg.cache.line_bytes().trailing_zeros();
-        // Emulated LLCs dwarf the host's caches, so the tag lookup for a
-        // random set is a host-DRAM stall — the dominant cost of replay.
-        // Prime the set metadata a fixed distance ahead so the loads
-        // overlap with emulation of the current transactions. The hint
-        // touches no simulated state (messages prime a meaningless but
-        // in-bounds set), so results stay byte-identical.
-        const PRIME_AHEAD: usize = 16;
-        for (i, txn) in batch.iter().enumerate() {
-            if let Some(ahead) = batch.get(i + PRIME_AHEAD) {
-                self.cc.prime_host_cache(ahead.addr.raw() >> line_shift);
-            }
+        for txn in batch {
             match self.af.filter(txn) {
                 FilterOutcome::Control(_)
                 | FilterOutcome::Malformed(_)

@@ -55,5 +55,5 @@ pub mod sampler;
 pub use af::{AddressFilter, FilterOutcome, MAX_PLAUSIBLE_CORES};
 pub use cc::BankedCache;
 pub use emulator::{Dragonhead, DragonheadConfig};
-pub use replay::{replay, BATCH_TRANSACTIONS};
+pub use replay::{flush_all, observe_batches, replay, BATCH_TRANSACTIONS};
 pub use sampler::{Sample, Sampler, SamplerError};

@@ -49,26 +49,45 @@ where
     I: IntoIterator<Item = FsbTransaction>,
 {
     let _t = ftrace::span("board-replay");
-    let mut batch = Vec::with_capacity(BATCH_TRANSACTIONS);
+    let n = observe_batches(batches(stream), boards);
+    flush_all(boards, final_cycle)?;
+    Ok(n)
+}
+
+/// Cuts `stream` into [`BATCH_TRANSACTIONS`]-sized batches (the last
+/// one may be shorter).
+fn batches<I>(stream: I) -> impl Iterator<Item = Vec<FsbTransaction>>
+where
+    I: IntoIterator<Item = FsbTransaction>,
+{
+    let mut stream = stream.into_iter();
+    std::iter::from_fn(move || {
+        let mut batch = Vec::with_capacity(BATCH_TRANSACTIONS);
+        batch.extend(stream.by_ref().take(BATCH_TRANSACTIONS));
+        (!batch.is_empty()).then_some(batch)
+    })
+}
+
+/// The batch loop: drives every board in `boards` over each batch in
+/// turn, and returns the number of transactions observed. The boards'
+/// sample series stay open; close them with [`flush_all`].
+///
+/// A batch is anything that lends a transaction slice, so the same
+/// loop runs over a decoded stream ([`replay`]) and over batches a
+/// recorder hands over while the platform is still running.
+pub fn observe_batches<B>(batches: impl IntoIterator<Item = B>, boards: &mut [Dragonhead]) -> u64
+where
+    B: AsRef<[FsbTransaction]>,
+{
     let mut n = 0u64;
-    for txn in stream {
-        batch.push(txn);
-        if batch.len() == BATCH_TRANSACTIONS {
-            for board in boards.iter_mut() {
-                board.observe_batch(&batch);
-            }
-            n += batch.len() as u64;
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
+    for batch in batches {
+        let batch = batch.as_ref();
         for board in boards.iter_mut() {
-            board.observe_batch(&batch);
+            board.observe_batch(batch);
         }
         n += batch.len() as u64;
     }
-    flush_all(boards, final_cycle)?;
-    Ok(n)
+    n
 }
 
 /// Flushes every board at `final_cycle`, returning the first error —
@@ -76,7 +95,12 @@ where
 /// must not leave later boards with their sample-series tails missing:
 /// a retrying caller could otherwise silently reuse half-flushed
 /// boards.
-fn flush_all(boards: &mut [Dragonhead], final_cycle: u64) -> Result<(), SamplerError> {
+///
+/// # Errors
+///
+/// The first board's [`SamplerError`], if any board's series is already
+/// past `final_cycle`.
+pub fn flush_all(boards: &mut [Dragonhead], final_cycle: u64) -> Result<(), SamplerError> {
     let mut first_err = None;
     for board in boards.iter_mut() {
         if let Err(e) = board.flush(final_cycle) {
